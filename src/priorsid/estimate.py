@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .priors import (
     EqualityConstraintSet,
@@ -104,7 +104,9 @@ class FirRegression:
 
     The block row of time t (one row per output channel) encodes
     y(t) = sum_{k=0}^{ell} M_k u(t-k) for t = ell .. N-1 under the
-    vectorization fixed by ``indexing``.
+    vectorization fixed by ``indexing``.  :func:`build_fir_regression`
+    gives Phi the structure Psi (x) I_{n_y} up to a fixed column order;
+    the solvers take any dense Phi.
     """
 
     Phi: np.ndarray
@@ -129,7 +131,11 @@ def build_fir_regression(data: IdentDataset, ell: int) -> FirRegression:
 
     Needs N > ell samples; each of the N - ell usable times contributes one
     block row [u(t)^T (x) I, u(t-1)^T (x) I, ..., u(t-ell)^T (x) I] where
-    (x) is the Kronecker product with the n_y identity.
+    (x) is the Kronecker product with the n_y identity.  Up to the fixed
+    column order Phi is therefore Psi (x) I_{n_y}, with Psi the windowed
+    input whose row t is [u(t)^T, u(t-1)^T, ..., u(t-ell)^T]; it is built
+    from one sliding-window view of U, written along the diagonal where
+    the output row of the block equals the output index of the column.
     """
     if ell < 0:
         raise ValueError(f"ell must be nonnegative, got {ell}")
@@ -138,16 +144,16 @@ def build_fir_regression(data: IdentDataset, ell: int) -> FirRegression:
         raise ValueError(f"need more samples than lags: N={N} <= ell={ell}")
     indexing = MarkovIndexing(n_y=n_y, n_u=n_u, ell=ell)
     rows = N - ell
-    eye = np.eye(n_y)
-    Phi = np.zeros((rows * n_y, indexing.size))
-    for block, t in enumerate(range(ell, N)):
-        for k in range(ell + 1):
-            Phi[
-                block * n_y : (block + 1) * n_y,
-                k * n_y * n_u : (k + 1) * n_y * n_u,
-            ] = np.kron(data.U[t - k], eye)
+    # Psi[t - ell, k, j] = u_j(t - k)
+    Psi = sliding_window_view(data.U, ell + 1, axis=0)[:, :, ::-1].transpose(0, 2, 1)
+    # Phi[(t - ell) * n_y + a, k * n_y * n_u + j * n_y + c] = u_j(t - k) [a == c]
+    Phi = np.zeros((rows, n_y, ell + 1, n_u, n_y))
+    out = np.arange(n_y)
+    Phi[:, out, :, :, out] = Psi
     Yvec = data.Y[ell:].reshape(-1)
-    return FirRegression(Phi=Phi, Yvec=Yvec, indexing=indexing, Ts=data.Ts)
+    return FirRegression(
+        Phi=Phi.reshape(rows * n_y, indexing.size), Yvec=Yvec, indexing=indexing, Ts=data.Ts
+    )
 
 
 def _lstsq_diagnostics(matrix: np.ndarray, s: np.ndarray, rank: int) -> dict[str, Any]:
@@ -158,6 +164,17 @@ def _lstsq_diagnostics(matrix: np.ndarray, s: np.ndarray, rank: int) -> dict[str
         "rank_deficient": bool(rank < matrix.shape[1]),
         "cond": cond,
     }
+
+
+def _null_space(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of A, one column per direction.
+
+    Same rule as scipy.linalg.null_space: singular values at or below
+    sigma_max * max(A.shape) * eps count as zero.
+    """
+    _, s, Vh = np.linalg.svd(A, full_matrices=True)
+    tol = s[0] * max(A.shape) * np.finfo(float).eps
+    return Vh[np.count_nonzero(s > tol) :].T
 
 
 def ls_unconstrained(reg: FirRegression) -> EstimateResult:
@@ -216,7 +233,7 @@ def ls_equality_exact(reg: FirRegression, cs: EqualityConstraintSet) -> Estimate
         )
 
     m_particular, _, _, _ = np.linalg.lstsq(cs.A_eq, cs.b_eq, rcond=None)
-    Z = scipy.linalg.null_space(cs.A_eq)
+    Z = _null_space(cs.A_eq)
     if Z.shape[1] == 0:
         warnings.warn(
             "constraints fully determine the Markov vector; the data were not used",

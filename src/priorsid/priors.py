@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-import scipy.linalg
 
 from .statespace import MarkovSequence
 
@@ -456,15 +455,21 @@ def check_consistency(cs: EqualityConstraintSet) -> ConsistencyReport:
 
     Rank uses the SVD with tolerance sigma_max * max(rows, cols) * eps.
     Redundant rows are the ones a pivoted QR of A_eq^T leaves out of the
-    leading independent set.  The set is infeasible when appending b_eq
-    raises the rank (some combination of rows demands 0 = nonzero).
+    leading independent set; at full row rank there are none, and the QR
+    (the one use of scipy in the package) is skipped.  The set is
+    infeasible when appending b_eq raises the rank (some combination of
+    rows demands 0 = nonzero).
     """
     if cs.n_rows == 0:
         return ConsistencyReport(rank=0, redundant_rows=(), infeasible=False)
     rank = _svd_rank(cs.A_eq)
     rank_aug = _svd_rank(np.column_stack([cs.A_eq, cs.b_eq]))
-    _, _, piv = scipy.linalg.qr(cs.A_eq.T, mode="economic", pivoting=True)
-    redundant = tuple(sorted(int(r) for r in piv[rank:]))
+    redundant: tuple[int, ...] = ()
+    if rank < cs.n_rows:
+        import scipy.linalg
+
+        _, _, piv = scipy.linalg.qr(cs.A_eq.T, mode="economic", pivoting=True)
+        redundant = tuple(sorted(int(r) for r in piv[rank:]))
     return ConsistencyReport(
         rank=rank, redundant_rows=redundant, infeasible=rank_aug > rank
     )

@@ -4,9 +4,11 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from priorsid import (
+    FirRegression,
     FirstOrder,
     Integrator,
     IntegratorFirstOrder,
+    MarkovIndexing,
     SecondOrderOsc,
     StateSpaceModel,
     TwoTimeConstants,
@@ -98,3 +100,33 @@ def random_prototype(rng, kind=None):
     return SecondOrderOsc(
         K=K, omega0=float(rng.uniform(0.3, 3.0)), xi=float(rng.uniform(0.1, 0.9))
     )
+
+
+def dense_fir_regression(data, ell):
+    """Oracle FIR regression: one np.kron block per (time, lag) pair.
+
+    Block row t is [u(t)^T (x) I, u(t-1)^T (x) I, ..., u(t-ell)^T (x) I];
+    the fast build in priorsid must reproduce it value for value.
+    """
+    N, n_u, n_y = data.n_samples, data.n_u, data.n_y
+    indexing = MarkovIndexing(n_y=n_y, n_u=n_u, ell=ell)
+    eye = np.eye(n_y)
+    Phi = np.zeros(((N - ell) * n_y, indexing.size))
+    for block, t in enumerate(range(ell, N)):
+        for k in range(ell + 1):
+            Phi[
+                block * n_y : (block + 1) * n_y,
+                k * n_y * n_u : (k + 1) * n_y * n_u,
+            ] = np.kron(data.U[t - k], eye)
+    Yvec = data.Y[ell:].reshape(-1)
+    return FirRegression(Phi=Phi, Yvec=Yvec, indexing=indexing, Ts=data.Ts)
+
+
+def kkt_solve(Phi, y, A, b):
+    """min ||Phi m - y|| subject to A m = b, from the dense KKT system."""
+    n, r = Phi.shape[1], A.shape[0]
+    kkt = np.zeros((n + r, n + r))
+    kkt[:n, :n] = Phi.T @ Phi
+    kkt[:n, n:] = A.T
+    kkt[n:, :n] = A
+    return np.linalg.solve(kkt, np.concatenate([Phi.T @ y, b]))[:n]

@@ -17,7 +17,8 @@ from priorsid import (
     markov_sequence,
     simulate,
 )
-from helpers import random_stable_model
+from helpers import dense_fir_regression, kkt_solve, random_stable_model
+from priorsid.estimate import _null_space
 
 
 def toy_regression():
@@ -90,6 +91,30 @@ class TestBuildFirRegression:
         for row, t in enumerate(range(ell, N)):
             direct = sum(blocks[k] @ U[t - k] for k in range(ell + 1))
             np.testing.assert_allclose(predicted[row], direct, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "n_u, n_y, ell, N",
+        [
+            (1, 1, 0, 6),
+            (2, 3, 0, 5),
+            (1, 1, 5, 6),
+            (2, 2, 4, 5),
+            (1, 4, 3, 25),
+            (3, 2, 6, 30),
+            (3, 3, 100, 300),
+        ],
+    )
+    def test_matches_dense_oracle(self, n_u, n_y, ell, N):
+        rng = np.random.default_rng(1000 * n_u + 100 * n_y + ell + N)
+        data = IdentDataset(
+            U=rng.standard_normal((N, n_u)), Y=rng.standard_normal((N, n_y)), Ts=0.5
+        )
+        reg = build_fir_regression(data, ell)
+        oracle = dense_fir_regression(data, ell)
+        # values, not bytes: the Kronecker products write -0.0 where u < 0
+        assert np.array_equal(reg.Phi, oracle.Phi)
+        assert np.array_equal(reg.Yvec, oracle.Yvec)
+        assert reg.indexing == oracle.indexing and reg.Ts == oracle.Ts
 
 
 class TestUnconstrained:
@@ -220,6 +245,64 @@ class TestEqualityExact:
                 np.linalg.norm(reg.Phi @ candidate - reg.Yvec)
                 >= np.linalg.norm(reg.Phi @ m_best - reg.Yvec) - 1e-9
             )
+
+    def test_fully_determined_with_redundant_rows_warns(self):
+        rng = np.random.default_rng(103)
+        idx = MarkovIndexing(n_y=2, n_u=2, ell=2)
+        A = rng.standard_normal((idx.size + 3, idx.size))
+        truth = rng.standard_normal(idx.size)
+        cs = EqualityConstraintSet(
+            A_eq=A, b_eq=A @ truth, indexing=idx, provenance=("pin",) * A.shape[0]
+        )
+        data = IdentDataset(
+            U=rng.standard_normal((30, 2)), Y=rng.standard_normal((30, 2)), Ts=1.0
+        )
+        with pytest.warns(EstimationWarning, match="data were not used"):
+            result = ls_equality_exact(build_fir_regression(data, 2), cs)
+        assert result.diagnostics["null_dim"] == 0
+        np.testing.assert_allclose(idx.vec(result.markov), truth, atol=1e-12)
+
+    def test_matches_kkt_on_mimo_shapes(self):
+        rng = np.random.default_rng(107)
+        for _ in range(20):
+            n_y, n_u = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            ell = int(rng.integers(0, 9))
+            idx = MarkovIndexing(n_y=n_y, n_u=n_u, ell=ell)
+            N = ell + 1 + 3 * (ell + 1) * n_u
+            data = IdentDataset(
+                U=rng.standard_normal((N, n_u)), Y=rng.standard_normal((N, n_y)), Ts=1.0
+            )
+            reg = build_fir_regression(data, ell)
+            r = int(rng.integers(1, idx.size))
+            A = rng.standard_normal((r, idx.size))
+            cs = EqualityConstraintSet(
+                A_eq=A,
+                b_eq=A @ rng.standard_normal(idx.size),
+                indexing=idx,
+                provenance=("r",) * r,
+            )
+            m_hat = idx.vec(ls_equality_exact(reg, cs).markov)
+            m_ref = kkt_solve(reg.Phi, reg.Yvec, cs.A_eq, cs.b_eq)
+            assert np.linalg.norm(m_hat - m_ref) <= 1e-12 * np.linalg.norm(m_ref)
+
+
+class TestNullSpace:
+    def test_matches_scipy_on_rank_deficient(self):
+        import scipy.linalg
+
+        rng = np.random.default_rng(109)
+        for _ in range(50):
+            rows, cols = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+            rank = int(rng.integers(0, min(rows, cols)))
+            A = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+            Z = _null_space(A)
+            Z_ref = scipy.linalg.null_space(A)
+            assert Z.shape == Z_ref.shape == (cols, cols - rank)
+            np.testing.assert_allclose(Z @ Z.T, Z_ref @ Z_ref.T, rtol=0, atol=1e-12)
+
+    def test_full_column_rank_is_empty(self):
+        A = np.random.default_rng(113).standard_normal((7, 4))
+        assert _null_space(A).shape == (4, 0)
 
 
 class TestEqualityWeighted:

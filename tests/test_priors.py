@@ -230,7 +230,16 @@ class TestCheckConsistency:
         priors = [DcGain(i=1, j=1, value=2.0), DcGain(i=1, j=1, value=2.0)]
         report = check_consistency(compile_priors(priors, SISO3, Ts=1.0))
         assert report.rank == 1
-        assert len(report.redundant_rows) == 1
+        assert report.redundant_rows == (1,)
+        assert not report.infeasible
+
+    def test_mimo_redundant_row_pinned(self):
+        # DcGain(1, 2, 0) is the sum of the ZeroChannel(1, 2) rows
+        idx = MarkovIndexing(n_y=2, n_u=2, ell=4)
+        priors = [ZeroChannel(i=1, j=2), DcGain(i=1, j=2, value=0.0), ZeroChannel(i=2, j=1)]
+        report = check_consistency(compile_priors(priors, idx, Ts=1.0))
+        assert report.rank == 10
+        assert report.redundant_rows == (0,)
         assert not report.infeasible
 
     def test_contradictory_rows_infeasible(self):
