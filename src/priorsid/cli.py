@@ -32,14 +32,8 @@ from .estimate import (
     ls_unconstrained,
 )
 from .fileio import load_dataset
-from .priors import (
-    InfeasibleConstraintsError,
-    MarkovIndexing,
-    PriorSpec,
-    check_consistency,
-    compile_priors,
-)
-from .realize import MODES, default_hankel_shape, identify_pipeline
+from .priors import InfeasibleConstraintsError, MarkovIndexing, PriorSpec, compile_priors
+from .realize import MODES, identify_pipeline
 from .statespace import StateSpaceModel, dc_gain, markov_sequence, simulate
 
 __all__ = [
@@ -252,18 +246,6 @@ def run_identify(config: RunConfig) -> dict[str, str]:
         )
         mode = "unconstrained"
 
-    with _stage("constraint compilation"):
-        indexing = MarkovIndexing(n_y=data.n_y, n_u=data.n_u, ell=config.ell)
-        cs = compile_priors(config.priors, indexing, data.Ts)
-        report = check_consistency(cs)
-        if report.infeasible and mode == "exact":
-            raise InfeasibleConstraintsError(
-                f"the compiled constraint set is infeasible "
-                f"(rank {report.rank} of {cs.n_rows} rows, redundant rows "
-                f"{list(report.redundant_rows)}); fix the priors or use the "
-                "weighted mode"
-            )
-
     with _stage("estimation and realization"):
         result = identify_pipeline(
             data,
@@ -284,18 +266,14 @@ def run_identify(config: RunConfig) -> dict[str, str]:
         report_path = os.path.join(config.output_dir, "report.txt")
         fileio.write_model_file(model_path, result.model)
         fileio.write_markov_csv(markov_path, result.estimate.markov)
-        _write_report(report_path, config, mode, data, cs.n_rows, report, result)
+        _write_report(report_path, config, data, result)
 
     return {"model": model_path, "markov": markov_path, "report": report_path}
 
 
-def _write_report(path, config, mode, data, n_constraint_rows, consistency, result):
+def _write_report(path, config, data, result):
     est = result.estimate
-    q, p = config.q, config.p
-    if q is None or p is None:
-        q_default, p_default = default_hankel_shape(config.ell)
-        q = q_default if q is None else q
-        p = p_default if p is None else p
+    consistency = result.constraints.consistency
     lines = [
         "identification report",
         f"mode: {est.method}",
@@ -304,13 +282,13 @@ def _write_report(path, config, mode, data, n_constraint_rows, consistency, resu
         f"n_y: {data.n_y}",
         f"Ts: {_fmt6(data.Ts)}",
         f"ell: {config.ell}",
-        f"q: {q}",
-        f"p: {p}",
+        f"q: {result.q}",
+        f"p: {result.p}",
         f"delays: {','.join(str(d) for d in config.delays) if config.delays else 'none'}",
         f"order: {result.order}",
         "singular_values: " + " ".join(_fmt6(v) for v in result.singular_values),
         f"residual_norm: {_fmt6(est.residual_norm)}",
-        f"constraint_rows: {n_constraint_rows}",
+        f"constraint_rows: {result.constraints.n_rows}",
         f"constraint_rank: {consistency.rank}",
         f"constraint_redundant_rows: {list(consistency.redundant_rows)}",
         f"constraint_infeasible: {str(consistency.infeasible).lower()}",
@@ -623,7 +601,7 @@ def _cmd_compile_priors(args: argparse.Namespace) -> int:
     priors = fileio.priors_from_file(args.priors_file)
     indexing = MarkovIndexing(n_y=args.ny, n_u=args.nu, ell=args.ell)
     cs = compile_priors(priors, indexing, args.Ts)
-    report = check_consistency(cs)
+    report = cs.consistency
     fileio.write_constraints_csv(args.output, cs)
     print(
         f"wrote {args.output}: {cs.n_rows} rows, rank {report.rank}, "

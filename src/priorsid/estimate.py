@@ -29,7 +29,6 @@ from .priors import (
     EqualityConstraintSet,
     InfeasibleConstraintsError,
     MarkovIndexing,
-    check_consistency,
 )
 from .statespace import MarkovSequence
 
@@ -177,6 +176,16 @@ def _null_space(A: np.ndarray) -> np.ndarray:
     return Vh[np.count_nonzero(s > tol) :].T
 
 
+def _check_constrained(reg: FirRegression, cs: EqualityConstraintSet) -> None:
+    if reg.Phi.shape[0] == 0:
+        raise ValueError("empty regression: no usable time samples")
+    if cs.indexing != reg.indexing:
+        raise ValueError(
+            f"constraint indexing {cs.indexing} does not match regression "
+            f"indexing {reg.indexing}"
+        )
+
+
 def ls_unconstrained(reg: FirRegression) -> EstimateResult:
     """Minimum-norm least-squares estimate of the Markov vector.
 
@@ -207,18 +216,13 @@ def ls_equality_exact(reg: FirRegression, cs: EqualityConstraintSet) -> Estimate
     Raises:
         InfeasibleConstraintsError: if the constraint set is inconsistent.
     """
-    if reg.Phi.shape[0] == 0:
-        raise ValueError("empty regression: no usable time samples")
-    if cs.indexing != reg.indexing:
-        raise ValueError(
-            f"constraint indexing {cs.indexing} does not match regression "
-            f"indexing {reg.indexing}"
-        )
-    report = check_consistency(cs)
+    _check_constrained(reg, cs)
+    report = cs.consistency
     if report.infeasible:
         raise InfeasibleConstraintsError(
-            "equality constraints are contradictory; fix the priors or use the "
-            "weighted mode"
+            f"the compiled constraint set is infeasible (rank {report.rank} of "
+            f"{cs.n_rows} rows, redundant rows {list(report.redundant_rows)}); "
+            "fix the priors or use the weighted mode"
         )
     if cs.n_rows == 0:
         base = ls_unconstrained(reg)
@@ -292,18 +296,12 @@ def ls_equality_weighted(
     the solver blends them and reports the leftover constraint residual
     with a warning.  ``weight=None`` applies :func:`default_weight`.
     """
-    if reg.Phi.shape[0] == 0:
-        raise ValueError("empty regression: no usable time samples")
-    if cs.indexing != reg.indexing:
-        raise ValueError(
-            f"constraint indexing {cs.indexing} does not match regression "
-            f"indexing {reg.indexing}"
-        )
+    _check_constrained(reg, cs)
     if weight is None:
         weight = default_weight(reg, cs)
     if not (math.isfinite(weight) and weight > 0):
         raise ValueError(f"weight must be a positive real, got {weight}")
-    if cs.n_rows and check_consistency(cs).infeasible:
+    if cs.consistency.infeasible:
         warnings.warn(
             "equality constraints are contradictory; the weighted solution blends "
             "them and leaves a nonzero constraint residual",

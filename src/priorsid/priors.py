@@ -19,6 +19,7 @@ blocks.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -269,6 +270,11 @@ class EqualityConstraintSet:
     def n_rows(self) -> int:
         return self.A_eq.shape[0]
 
+    @functools.cached_property
+    def consistency(self) -> ConsistencyReport:
+        """:func:`check_consistency` of this set, computed on first access."""
+        return check_consistency(self)
+
 
 @dataclass(frozen=True)
 class ConsistencyReport:
@@ -295,6 +301,39 @@ class _RowBuilder:
         self.tags.append(tag)
 
 
+def _recurrence_rows(
+    out: _RowBuilder,
+    indexing: MarkovIndexing,
+    prior: FirstOrderDecay | IntegratorChannel | SecondOrderRecurrence,
+    coeffs: tuple[float, ...],
+    seeds: tuple[float, ...],
+    tag: str,
+) -> None:
+    """Rows of one recurrence prior, by the shared rule of :func:`compile_priors`."""
+    indexing.check_channel(prior.i, prior.j)
+    ell = indexing.ell
+
+    def at(k: int) -> int:
+        return indexing.index(k, prior.i, prior.j)
+
+    first = len(out.rows)
+    out.add({at(0): 1.0}, 0.0, tag)
+    for k in range(len(coeffs) + 1, ell + 1):
+        entries = {at(k): 1.0}
+        for r, coeff in enumerate(coeffs, start=1):
+            entries[at(k - r)] = coeff
+        out.add(entries, 0.0, tag)
+    for k, value in enumerate(seeds[:ell], start=1):
+        out.add({at(k): 1.0}, value, tag)
+    if len(out.rows) == first + 1:
+        warnings.warn(
+            f"{tag}: horizon ell={ell} yields no recurrence or seed rows; only "
+            "M_0 = 0 was emitted",
+            ConstraintCompileWarning,
+            stacklevel=3,
+        )
+
+
 def compile_priors(
     priors: list[PriorSpec], indexing: MarkovIndexing, Ts: float
 ) -> EqualityConstraintSet:
@@ -305,18 +344,24 @@ def compile_priors(
     * ``DcGain(i, j, v)``: one row summing M_k(i,j) over all lags, rhs v.
     * ``DcGainMatrix``: one such row per channel pair (input-major order).
     * ``GainRatio``: one homogeneous row, gain(i,j) - ratio * gain(p,q) = 0.
-    * ``FirstOrderDecay``: M_0 = 0 plus M_k - a M_{k-1} = 0 for 2 <= k <= ell
-      with a = exp(-Ts/tau); with a known gain also M_1 = K (1 - a).
-    * ``IntegratorChannel``: M_0 = 0 plus M_k - M_{k-1} = 0 for 2 <= k <= ell;
-      with a known gain also M_1 = K Ts.
-    * ``SecondOrderRecurrence``: M_0 = 0 plus
-      M_k + alpha1 M_{k-1} + alpha0 M_{k-2} = 0 for 3 <= k <= ell; with a
-      seed also M_1 = beta1 and M_2 = beta0 - alpha1 beta1.
+    * The three recurrence kinds share one rule.  An order-r recurrence
+      with coefficients (c_1, .., c_r) and seeds (s_1, .., s_r) compiles,
+      on channel (i, j), to M_0 = 0, then
+      M_k + c_1 M_{k-1} + .. + c_r M_{k-r} = 0 for r < k <= ell, then the
+      seed rows M_1 = s_1, M_2 = s_2, .. for the seeds with lag <= ell:
+
+      - ``FirstOrderDecay``: r = 1, c = (-a,) with a = exp(-Ts/tau); with a
+        known gain the seed is M_1 = K (1 - a).
+      - ``IntegratorChannel``: r = 1, c = (-1,); with a known gain the seed
+        is M_1 = K Ts.
+      - ``SecondOrderRecurrence``: r = 2, c = (alpha1, alpha0); with a seed
+        (beta1, beta0) the seeds are M_1 = beta1 and
+        M_2 = beta0 - alpha1 beta1.
     * ``ZeroChannel``: M_k(i,j) = 0 for every lag (ell + 1 rows).
 
-    A recurrence prior whose horizon is too short to yield any recurrence
-    row (and that carries no gain/seed) compiles to the lone M_0 row and
-    triggers a :class:`ConstraintCompileWarning`.
+    A recurrence prior that compiles to the lone M_0 row (its horizon is
+    too short for any recurrence row, and no seed row fits or none was
+    given) triggers a :class:`ConstraintCompileWarning`.
     """
     if not (math.isfinite(Ts) and Ts > 0):
         raise ValueError(f"Ts must be a positive real, got {Ts}")
@@ -350,82 +395,18 @@ def compile_priors(
                 entries[idx] = entries.get(idx, 0.0) - prior.ratio
             out.add(entries, 0.0, tag)
         elif isinstance(prior, FirstOrderDecay):
-            indexing.check_channel(prior.i, prior.j)
             a = math.exp(-Ts / prior.tau)
-            out.add({indexing.index(0, prior.i, prior.j): 1.0}, 0.0, tag)
-            for k in range(2, ell + 1):
-                out.add(
-                    {
-                        indexing.index(k, prior.i, prior.j): 1.0,
-                        indexing.index(k - 1, prior.i, prior.j): -a,
-                    },
-                    0.0,
-                    tag,
-                )
-            if prior.gain is not None:
-                out.add(
-                    {indexing.index(1, prior.i, prior.j): 1.0},
-                    prior.gain * (1.0 - a),
-                    tag,
-                )
-            elif ell < 2:
-                warnings.warn(
-                    f"{tag}: horizon ell={ell} yields no decay rows; only M_0 = 0 "
-                    "was emitted",
-                    ConstraintCompileWarning,
-                    stacklevel=2,
-                )
+            seeds = () if prior.gain is None else (prior.gain * (1.0 - a),)
+            _recurrence_rows(out, indexing, prior, (-a,), seeds, tag)
         elif isinstance(prior, IntegratorChannel):
-            indexing.check_channel(prior.i, prior.j)
-            out.add({indexing.index(0, prior.i, prior.j): 1.0}, 0.0, tag)
-            for k in range(2, ell + 1):
-                out.add(
-                    {
-                        indexing.index(k, prior.i, prior.j): 1.0,
-                        indexing.index(k - 1, prior.i, prior.j): -1.0,
-                    },
-                    0.0,
-                    tag,
-                )
-            if prior.gain is not None:
-                out.add({indexing.index(1, prior.i, prior.j): 1.0}, prior.gain * Ts, tag)
-            elif ell < 2:
-                warnings.warn(
-                    f"{tag}: horizon ell={ell} yields no constancy rows; only "
-                    "M_0 = 0 was emitted",
-                    ConstraintCompileWarning,
-                    stacklevel=2,
-                )
+            seeds = () if prior.gain is None else (prior.gain * Ts,)
+            _recurrence_rows(out, indexing, prior, (-1.0,), seeds, tag)
         elif isinstance(prior, SecondOrderRecurrence):
-            indexing.check_channel(prior.i, prior.j)
-            out.add({indexing.index(0, prior.i, prior.j): 1.0}, 0.0, tag)
-            for k in range(3, ell + 1):
-                out.add(
-                    {
-                        indexing.index(k, prior.i, prior.j): 1.0,
-                        indexing.index(k - 1, prior.i, prior.j): prior.alpha1,
-                        indexing.index(k - 2, prior.i, prior.j): prior.alpha0,
-                    },
-                    0.0,
-                    tag,
-                )
+            seeds = ()
             if prior.seed is not None:
                 beta1, beta0 = prior.seed
-                if ell >= 1:
-                    out.add({indexing.index(1, prior.i, prior.j): 1.0}, beta1, tag)
-                if ell >= 2:
-                    out.add(
-                        {indexing.index(2, prior.i, prior.j): 1.0},
-                        beta0 - prior.alpha1 * beta1,
-                        tag,
-                    )
-            elif ell < 3:
-                warnings.warn(
-                    f"{tag}: horizon ell={ell} yields no recurrence rows; only "
-                    "M_0 = 0 was emitted",
-                    ConstraintCompileWarning,
-                    stacklevel=2,
-                )
+                seeds = (beta1, beta0 - prior.alpha1 * beta1)
+            _recurrence_rows(out, indexing, prior, (prior.alpha1, prior.alpha0), seeds, tag)
         elif isinstance(prior, ZeroChannel):
             indexing.check_channel(prior.i, prior.j)
             for k in range(ell + 1):

@@ -17,7 +17,7 @@ result rather than corrected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,11 +29,16 @@ from .estimate import (
     ls_equality_weighted,
     ls_unconstrained,
 )
-from .priors import MarkovIndexing, PriorSpec, compile_priors
+from .priors import (
+    EqualityConstraintSet,
+    MarkovIndexing,
+    PriorSpec,
+    compile_priors,
+    constraint_residual,
+)
 from .statespace import MarkovSequence, StateSpaceModel, markov_sequence
 
 __all__ = [
-    "HankelSpec",
     "RealizationResult",
     "block_hankel",
     "kung_realize",
@@ -48,38 +53,39 @@ MODES = ("unconstrained", "exact", "weighted")
 
 
 @dataclass(frozen=True)
-class HankelSpec:
-    """Block layout of the Hankel matrix: q block rows, p block columns.
-
-    Block (r, c) holds M_{r+c-1} (1-based blocks), so the source sequence
-    must provide M_1 .. M_{q+p-1}, i.e. ell >= q + p - 1; M_0 is reserved
-    for the feedthrough D.
-    """
-
-    q: int
-    p: int
-    ell: int
-
-    def __post_init__(self) -> None:
-        if self.q < 1 or self.p < 1:
-            raise ValueError(f"q and p must be >= 1, got (q={self.q}, p={self.p})")
-        if self.q + self.p - 1 > self.ell:
-            raise ValueError(
-                f"insufficient ell: blocks M_1..M_{self.q + self.p - 1} needed "
-                f"but only ell={self.ell} available"
-            )
-
-
-@dataclass(frozen=True)
 class RealizationResult:
-    """Realized model with order-selection and reconstruction diagnostics."""
+    """Realized model with order-selection and reconstruction diagnostics.
+
+    ``q`` and ``p`` are the Hankel block shape the model was realized from.
+    :func:`identify_pipeline` also attaches the estimate, the compiled
+    constraint set and the constraint residual of the realized model.
+    """
 
     model: StateSpaceModel
     singular_values: np.ndarray
     order: int
     reconstruction_error: float
+    q: int
+    p: int
     estimate: EstimateResult | None = None
+    constraints: EqualityConstraintSet | None = None
     realized_constraint_residual: float | None = None
+
+
+def _check_hankel_shape(q: int, p: int, ell: int) -> None:
+    """Reject a q x p Hankel layout that M_0 .. M_ell cannot fill.
+
+    Block (r, c) holds M_{r+c-1} (1-based blocks), so the layout needs
+    M_1 .. M_{q+p-1}, i.e. ell >= q + p - 1; M_0 is reserved for the
+    feedthrough D.
+    """
+    if q < 1 or p < 1:
+        raise ValueError(f"q and p must be >= 1, got (q={q}, p={p})")
+    if q + p - 1 > ell:
+        raise ValueError(
+            f"insufficient ell: blocks M_1..M_{q + p - 1} needed "
+            f"but only ell={ell} available"
+        )
 
 
 def default_hankel_shape(ell: int) -> tuple[int, int]:
@@ -90,7 +96,7 @@ def default_hankel_shape(ell: int) -> tuple[int, int]:
 
 def block_hankel(markov: MarkovSequence, q: int, p: int) -> np.ndarray:
     """Block Hankel matrix H of size (q n_y) x (p n_u) with H[r,c] = M_{r+c-1}."""
-    HankelSpec(q=q, p=p, ell=markov.ell)
+    _check_hankel_shape(q, p, markov.ell)
     n_y, n_u = markov.n_y, markov.n_u
     H = np.empty((q * n_y, p * n_u))
     for r in range(q):
@@ -168,7 +174,7 @@ def kung_realize(
         np.linalg.norm(realized.blocks[1:] - markov.blocks[1 : q + p])
     )
     return RealizationResult(
-        model=model, singular_values=s, order=n, reconstruction_error=error
+        model=model, singular_values=s, order=n, reconstruction_error=error, q=q, p=p
     )
 
 
@@ -197,20 +203,19 @@ def identify_pipeline(
         order, tol: passed to :func:`kung_realize`.
 
     Returns:
-        RealizationResult with the estimation result attached and, when
-        constraints were active, the constraint residual re-evaluated on
-        the realized model's Markov sequence.
+        RealizationResult with the resolved (q, p), the estimation result
+        and the compiled constraint set attached and, when constraints were
+        active, the constraint residual re-evaluated on the realized
+        model's Markov sequence.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if q is None or p is None:
-        q_default, p_default = default_hankel_shape(ell)
-        q = q_default if q is None else q
-        p = p_default if p is None else p
-    HankelSpec(q=q, p=p, ell=ell)
+    q_default, p_default = default_hankel_shape(ell)
+    q = q_default if q is None else q
+    p = p_default if p is None else p
+    _check_hankel_shape(q, p, ell)
 
-    indexing = MarkovIndexing(n_y=data.n_y, n_u=data.n_u, ell=ell)
-    cs = compile_priors(priors, indexing, data.Ts)
+    cs = compile_priors(priors, MarkovIndexing(n_y=data.n_y, n_u=data.n_u, ell=ell), data.Ts)
     reg = build_fir_regression(data, ell)
     if mode == "unconstrained":
         est = ls_unconstrained(reg)
@@ -222,15 +227,7 @@ def identify_pipeline(
     result = kung_realize(est.markov, q, p, order=order, tol=tol)
     realized_residual = None
     if cs.n_rows:
-        realized_markov = markov_sequence(result.model, ell)
-        realized_residual = float(
-            np.linalg.norm(cs.A_eq @ indexing.vec(realized_markov) - cs.b_eq)
-        )
-    return RealizationResult(
-        model=result.model,
-        singular_values=result.singular_values,
-        order=result.order,
-        reconstruction_error=result.reconstruction_error,
-        estimate=est,
-        realized_constraint_residual=realized_residual,
+        realized_residual = constraint_residual(cs, markov_sequence(result.model, ell))
+    return replace(
+        result, estimate=est, constraints=cs, realized_constraint_residual=realized_residual
     )

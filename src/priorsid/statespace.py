@@ -24,9 +24,7 @@ import numpy as np
 __all__ = [
     "StateSpaceModel",
     "MarkovSequence",
-    "SimulationRecord",
     "simulate",
-    "simulate_record",
     "markov_sequence",
     "pulse_response",
     "dc_gain",
@@ -163,40 +161,6 @@ class MarkovSequence:
         return self.blocks.shape[2]
 
 
-@dataclass(frozen=True)
-class SimulationRecord:
-    """Input/output trajectories of one simulation run."""
-
-    U: np.ndarray
-    Y: np.ndarray
-    x0: np.ndarray
-    Ts: float
-
-    def __post_init__(self) -> None:
-        U = np.atleast_2d(np.asarray(self.U, dtype=float))
-        Y = np.atleast_2d(np.asarray(self.Y, dtype=float))
-        x0 = np.asarray(self.x0, dtype=float).reshape(-1)
-        if U.shape[0] != Y.shape[0]:
-            raise ValueError(
-                f"U has {U.shape[0]} rows but Y has {Y.shape[0]}; row counts must match"
-            )
-        object.__setattr__(self, "U", _freeze(U))
-        object.__setattr__(self, "Y", _freeze(Y))
-        object.__setattr__(self, "x0", _freeze(x0))
-        object.__setattr__(self, "Ts", float(self.Ts))
-
-
-def _input_matrix(model: StateSpaceModel, U) -> np.ndarray:
-    U = np.asarray(U, dtype=float)
-    if U.ndim == 1:
-        U = U.reshape(-1, 1)
-    if U.ndim != 2 or U.shape[1] != model.n_u:
-        raise ValueError(
-            f"input has shape {U.shape} but the model has n_u={model.n_u} inputs"
-        )
-    return U
-
-
 def simulate(model: StateSpaceModel, U, x0=None) -> np.ndarray:
     """Run the state recursion over an input trajectory.
 
@@ -209,7 +173,13 @@ def simulate(model: StateSpaceModel, U, x0=None) -> np.ndarray:
         Output samples Y of shape (N, n_y) with
         ``Y[t] = C x(t) + D U[t]`` and ``x(t+1) = A x(t) + B U[t]``.
     """
-    U = _input_matrix(model, U)
+    U = np.asarray(U, dtype=float)
+    if U.ndim == 1:
+        U = U.reshape(-1, 1)
+    if U.ndim != 2 or U.shape[1] != model.n_u:
+        raise ValueError(
+            f"input has shape {U.shape} but the model has n_u={model.n_u} inputs"
+        )
     if x0 is None:
         x = np.zeros(model.n)
     else:
@@ -223,14 +193,6 @@ def simulate(model: StateSpaceModel, U, x0=None) -> np.ndarray:
         Y[t] = C @ x + D @ u
         x = A @ x + B @ u
     return Y
-
-
-def simulate_record(model: StateSpaceModel, U, x0=None) -> SimulationRecord:
-    """Like :func:`simulate` but returns the paired (U, Y) record."""
-    U = _input_matrix(model, U)
-    x0_arr = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
-    Y = simulate(model, U, x0_arr)
-    return SimulationRecord(U=U, Y=Y, x0=x0_arr, Ts=model.Ts)
 
 
 def markov_sequence(model: StateSpaceModel, ell: int) -> MarkovSequence:

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import priorsid.priors
 from priorsid import (
+    FirstOrderDecay,
     IdentDataset,
     build_fir_regression,
     ls_unconstrained,
@@ -21,6 +23,7 @@ from priorsid.cli import (
     generate_input,
     main,
     mc_compare,
+    run_identify,
 )
 from priorsid.fileio import load_dataset, read_model_file, write_dataset
 
@@ -269,7 +272,9 @@ class TestIdentifyCommand:
             ]
         )
         assert code == EXIT_INFEASIBLE
-        assert "infeasible" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "infeasible" in err
+        assert "rank 1 of 2 rows" in err
 
     def test_missing_dataset_exit_code(self, tmp_path):
         code = main(
@@ -415,3 +420,37 @@ class TestMcCompare:
         runs_b, _ = mc_compare(config)
         for a, b in zip(runs_a[:4], runs_b):
             assert a == b
+
+
+class TestComputedOnce:
+    @pytest.fixture
+    def consistency_calls(self, monkeypatch):
+        calls = []
+        original = priorsid.priors.check_consistency
+
+        def counting(cs):
+            calls.append(cs)
+            return original(cs)
+
+        monkeypatch.setattr(priorsid.priors, "check_consistency", counting)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["exact", "weighted"])
+    def test_one_consistency_check_per_identify(self, tmp_path, consistency_calls, mode):
+        config = RunConfig(
+            dataset=str(make_dataset_file(tmp_path, snr=10.0)),
+            Ts=1.0,
+            ell=20,
+            mode=mode,
+            priors=[FirstOrderDecay(i=1, j=1, tau=10.0)],
+            output_dir=str(tmp_path / "out"),
+        )
+        run_identify(config)
+        assert len(consistency_calls) == 1
+
+    def test_one_consistency_check_per_mc_compare(self, consistency_calls):
+        config = TestMcCompare().base_config()
+        config.priors = [FirstOrderDecay(i=1, j=1, tau=10.0)]
+        config.mc_runs = 5
+        mc_compare(config)
+        assert len(consistency_calls) == 1

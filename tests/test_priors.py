@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from priorsid import (
     ConstraintCompileWarning,
@@ -13,9 +16,12 @@ from priorsid import (
     GainRatio,
     Integrator,
     IntegratorChannel,
+    IntegratorFirstOrder,
     MarkovIndexing,
     MarkovSequence,
+    SecondOrderOsc,
     SecondOrderRecurrence,
+    TwoTimeConstants,
     ZeroChannel,
     check_consistency,
     compile_priors,
@@ -29,6 +35,37 @@ from priorsid import (
 from helpers import random_prototype
 
 SISO3 = MarkovIndexing(n_y=1, n_u=1, ell=3)
+
+DECAY = FirstOrderDecay(i=1, j=1, tau=5.0)
+DECAY_GAIN = FirstOrderDecay(i=1, j=1, tau=5.0, gain=2.0)
+INTEGRATOR = IntegratorChannel(i=1, j=1)
+INTEGRATOR_GAIN = IntegratorChannel(i=1, j=1, gain=2.0)
+RECURRENCE = SecondOrderRecurrence(i=1, j=1, alpha1=-1.5, alpha0=0.6)
+RECURRENCE_SEED = SecondOrderRecurrence(i=1, j=1, alpha1=-1.5, alpha0=0.6, seed=(0.1, 0.05))
+
+# (prior, ell, compiled rows, warns): M_0, then the recurrence rows for
+# order < k <= ell, then the seed rows with lag <= ell; a prior left with
+# the lone M_0 row warns.
+SHORT_HORIZON = [
+    pytest.param(DECAY, 0, 1, True, id="decay-ell0"),
+    pytest.param(DECAY_GAIN, 0, 1, True, id="decay-gain-ell0"),
+    pytest.param(DECAY, 1, 1, True, id="decay-ell1"),
+    pytest.param(DECAY_GAIN, 1, 2, False, id="decay-gain-ell1"),
+    pytest.param(DECAY, 2, 2, False, id="decay-ell2"),
+    pytest.param(DECAY_GAIN, 2, 3, False, id="decay-gain-ell2"),
+    pytest.param(INTEGRATOR, 0, 1, True, id="integrator-ell0"),
+    pytest.param(INTEGRATOR_GAIN, 0, 1, True, id="integrator-gain-ell0"),
+    pytest.param(INTEGRATOR, 1, 1, True, id="integrator-ell1"),
+    pytest.param(INTEGRATOR_GAIN, 1, 2, False, id="integrator-gain-ell1"),
+    pytest.param(INTEGRATOR, 2, 2, False, id="integrator-ell2"),
+    pytest.param(INTEGRATOR_GAIN, 2, 3, False, id="integrator-gain-ell2"),
+    pytest.param(RECURRENCE, 0, 1, True, id="recurrence-ell0"),
+    pytest.param(RECURRENCE_SEED, 0, 1, True, id="recurrence-seed-ell0"),
+    pytest.param(RECURRENCE, 1, 1, True, id="recurrence-ell1"),
+    pytest.param(RECURRENCE_SEED, 1, 2, False, id="recurrence-seed-ell1"),
+    pytest.param(RECURRENCE, 2, 1, True, id="recurrence-ell2"),
+    pytest.param(RECURRENCE_SEED, 2, 3, False, id="recurrence-seed-ell2"),
+]
 
 
 class TestMarkovIndexing:
@@ -215,6 +252,16 @@ class TestCompile:
             )
         assert cs.n_rows == 1
 
+    @pytest.mark.parametrize(("prior", "ell", "rows", "warns"), SHORT_HORIZON)
+    def test_short_horizon_rows(self, prior, ell, rows, warns):
+        idx = MarkovIndexing(n_y=1, n_u=1, ell=ell)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cs = compile_priors([prior], idx, Ts=1.0)
+        assert cs.n_rows == rows
+        assert cs.A_eq[0, idx.index(0, 1, 1)] == 1.0 and cs.b_eq[0] == 0.0
+        assert [w.category for w in caught] == ([ConstraintCompileWarning] if warns else [])
+
     def test_channel_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             compile_priors([DcGain(i=2, j=1, value=1.0)], SISO3, Ts=1.0)
@@ -296,6 +343,38 @@ class TestConstraintResidual:
             priors = matching_priors(proto, Ts, with_gain=bool(rng.integers(0, 2)))
             cs = compile_priors(priors, idx, Ts)
             assert constraint_residual(cs, seq) <= 1e-10
+
+    @settings(deadline=None)
+    @given(
+        proto=st.one_of(
+            st.builds(Integrator, K=st.floats(0.5, 3.0)),
+            st.builds(FirstOrder, K=st.floats(0.5, 3.0), tau=st.floats(0.5, 20.0)),
+            st.builds(IntegratorFirstOrder, K=st.floats(0.5, 3.0), tau=st.floats(0.5, 20.0)),
+            st.builds(
+                lambda K, tau1, ratio: TwoTimeConstants(K=K, tau1=tau1, tau2=tau1 * ratio),
+                st.floats(0.5, 3.0),
+                st.floats(0.5, 10.0),
+                st.floats(1.5, 3.0),
+            ),
+            st.builds(
+                SecondOrderOsc,
+                K=st.floats(0.5, 3.0),
+                omega0=st.floats(0.3, 3.0),
+                xi=st.floats(0.1, 0.9),
+            ),
+        ),
+        Ts=st.floats(0.2, 2.0),
+        ell=st.integers(0, 8),
+        with_gain=st.booleans(),
+    )
+    def test_prototype_satisfies_its_prior_at_any_horizon(self, proto, Ts, ell, with_gain):
+        idx = MarkovIndexing(n_y=1, n_u=1, ell=ell)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConstraintCompileWarning)
+            cs = compile_priors(matching_priors(proto, Ts, with_gain), idx, Ts)
+        seq = prototype_markov(proto, Ts, ell)
+        scale = max(1.0, float(np.linalg.norm(cs.b_eq)))
+        assert constraint_residual(cs, seq) <= 1e-10 * scale
 
     def test_dc_gain_soundness_at_long_horizon(self):
         rng = np.random.default_rng(61)

@@ -4,11 +4,13 @@ import pytest
 from priorsid import (
     FirstOrderDecay,
     IdentDataset,
+    MarkovIndexing,
     MarkovSequence,
     SecondOrderOsc,
     StateSpaceModel,
     ZeroChannel,
     block_hankel,
+    compile_priors,
     dc_gain,
     default_hankel_shape,
     identify_pipeline,
@@ -192,6 +194,21 @@ class TestIdentifyPipeline:
         data = IdentDataset(U=np.ones((10, 1)), Y=np.ones((10, 1)), Ts=1.0)
         with pytest.raises(ValueError, match="mode"):
             identify_pipeline(data, [], ell=4, mode="bogus")
+
+    def test_result_carries_shape_and_constraints(self):
+        rng = np.random.default_rng(139)
+        U = rng.standard_normal((100, 1))
+        data = IdentDataset(U=U, Y=simulate(zoh_first_order(2.0, 2.0, 1.0), U), Ts=1.0)
+        priors = [FirstOrderDecay(i=1, j=1, tau=2.0)]
+        compiled = compile_priors(priors, MarkovIndexing(n_y=1, n_u=1, ell=20), 1.0)
+        for q, p, shape in (
+            (None, None, default_hankel_shape(20)),
+            (4, 6, (4, 6)),
+            (4, None, (4, default_hankel_shape(20)[1])),
+        ):
+            result = identify_pipeline(data, priors, ell=20, q=q, p=p)
+            assert (result.q, result.p) == shape
+            assert result.constraints.n_rows == compiled.n_rows
 
     def test_inconsistent_shape_rejected(self):
         data = IdentDataset(U=np.ones((10, 1)), Y=np.ones((10, 1)), Ts=1.0)
