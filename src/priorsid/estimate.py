@@ -29,6 +29,7 @@ from .priors import (
     EqualityConstraintSet,
     InfeasibleConstraintsError,
     MarkovIndexing,
+    _rank,
 )
 from .statespace import MarkovSequence
 
@@ -172,8 +173,7 @@ def _null_space(A: np.ndarray) -> np.ndarray:
     sigma_max * max(A.shape) * eps count as zero.
     """
     _, s, Vh = np.linalg.svd(A, full_matrices=True)
-    tol = s[0] * max(A.shape) * np.finfo(float).eps
-    return Vh[np.count_nonzero(s > tol) :].T
+    return Vh[_rank(s, A.shape) :].T
 
 
 def _check_constrained(reg: FirRegression, cs: EqualityConstraintSet) -> None:
@@ -278,10 +278,11 @@ def default_weight(reg: FirRegression, cs: EqualityConstraintSet) -> float:
 
     1e6 times the ratio of the largest singular values of Phi and A_eq:
     large enough that the constraints dominate, small enough to keep the
-    stacked problem solvable in double precision.
+    stacked problem solvable in double precision.  sigma_max(A_eq) is read
+    from ``cs.singular_values``, the SVD the consistency check also uses.
     """
     smax_phi = float(np.linalg.norm(reg.Phi, 2)) if reg.Phi.size else 0.0
-    smax_a = float(np.linalg.norm(cs.A_eq, 2)) if cs.A_eq.size else 0.0
+    smax_a = float(cs.singular_values[0]) if cs.A_eq.size else 0.0
     w = 1e6 * smax_phi / max(smax_a, np.finfo(float).eps)
     return w if w > 0 else 1.0
 
@@ -308,7 +309,10 @@ def ls_equality_weighted(
             EstimationWarning,
             stacklevel=2,
         )
-    stacked = np.vstack([reg.Phi, weight * cs.A_eq])
+    n_data = reg.Phi.shape[0]
+    stacked = np.empty((n_data + cs.n_rows, reg.Phi.shape[1]))
+    stacked[:n_data] = reg.Phi
+    np.multiply(weight, cs.A_eq, out=stacked[n_data:])
     rhs = np.concatenate([reg.Yvec, weight * cs.b_eq])
     m_hat, _, rank, s = np.linalg.lstsq(stacked, rhs, rcond=None)
     diagnostics = _lstsq_diagnostics(stacked, s, rank)

@@ -271,6 +271,13 @@ class EqualityConstraintSet:
         return self.A_eq.shape[0]
 
     @functools.cached_property
+    def singular_values(self) -> np.ndarray:
+        """Singular values of A_eq in descending order, computed on first access."""
+        s = np.linalg.svd(self.A_eq, compute_uv=False)
+        s.setflags(write=False)
+        return s
+
+    @functools.cached_property
     def consistency(self) -> ConsistencyReport:
         """:func:`check_consistency` of this set, computed on first access."""
         return check_consistency(self)
@@ -286,17 +293,13 @@ class ConsistencyReport:
 
 
 class _RowBuilder:
-    def __init__(self, size: int):
-        self.size = size
-        self.rows: list[np.ndarray] = []
+    def __init__(self):
+        self.rows: list[dict[int, float]] = []
         self.rhs: list[float] = []
         self.tags: list[str] = []
 
     def add(self, entries: dict[int, float], rhs: float, tag: str) -> None:
-        row = np.zeros(self.size)
-        for idx, coeff in entries.items():
-            row[idx] += coeff
-        self.rows.append(row)
+        self.rows.append(entries)
         self.rhs.append(float(rhs))
         self.tags.append(tag)
 
@@ -366,7 +369,7 @@ def compile_priors(
     if not (math.isfinite(Ts) and Ts > 0):
         raise ValueError(f"Ts must be a positive real, got {Ts}")
     ell, n_y, n_u = indexing.ell, indexing.n_y, indexing.n_u
-    out = _RowBuilder(indexing.size)
+    out = _RowBuilder()
 
     for prior in priors:
         tag = repr(prior)
@@ -414,7 +417,10 @@ def compile_priors(
         else:
             raise TypeError(f"unknown prior specification {type(prior).__name__}")
 
-    A_eq = np.vstack(out.rows) if out.rows else np.zeros((0, indexing.size))
+    A_eq = np.zeros((len(out.rows), indexing.size))
+    for r, entries in enumerate(out.rows):
+        for idx, coeff in entries.items():
+            A_eq[r, idx] += coeff
     return EqualityConstraintSet(
         A_eq=A_eq,
         b_eq=np.asarray(out.rhs, dtype=float),
@@ -423,18 +429,17 @@ def compile_priors(
     )
 
 
-def _svd_rank(matrix: np.ndarray) -> int:
-    if matrix.size == 0:
-        return 0
-    s = np.linalg.svd(matrix, compute_uv=False)
-    tol = s[0] * max(matrix.shape) * np.finfo(float).eps
+def _rank(s: np.ndarray, shape: tuple[int, ...]) -> int:
+    """Count of singular values ``s`` (nonempty, descending) above sigma_max * max(shape) * eps."""
+    tol = s[0] * max(shape) * np.finfo(float).eps
     return int(np.count_nonzero(s > tol))
 
 
 def check_consistency(cs: EqualityConstraintSet) -> ConsistencyReport:
     """Rank, redundant rows and feasibility of a constraint set.
 
-    Rank uses the SVD with tolerance sigma_max * max(rows, cols) * eps.
+    Rank uses the SVD with tolerance sigma_max * max(rows, cols) * eps; the
+    singular values of A_eq are those cached on ``cs.singular_values``.
     Redundant rows are the ones a pivoted QR of A_eq^T leaves out of the
     leading independent set; at full row rank there are none, and the QR
     (the one use of scipy in the package) is skipped.  The set is
@@ -443,8 +448,9 @@ def check_consistency(cs: EqualityConstraintSet) -> ConsistencyReport:
     """
     if cs.n_rows == 0:
         return ConsistencyReport(rank=0, redundant_rows=(), infeasible=False)
-    rank = _svd_rank(cs.A_eq)
-    rank_aug = _svd_rank(np.column_stack([cs.A_eq, cs.b_eq]))
+    rank = _rank(cs.singular_values, cs.A_eq.shape)
+    augmented = np.column_stack([cs.A_eq, cs.b_eq])
+    rank_aug = _rank(np.linalg.svd(augmented, compute_uv=False), augmented.shape)
     redundant: tuple[int, ...] = ()
     if rank < cs.n_rows:
         import scipy.linalg

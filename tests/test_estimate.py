@@ -337,6 +337,38 @@ class TestEqualityWeighted:
         result = ls_equality_weighted(reg, cs)
         assert f"w={w:g}" in result.method
 
+    def test_default_weight_reads_constraint_singular_values(self):
+        rng = np.random.default_rng(7)
+        idx = MarkovIndexing(n_y=2, n_u=3, ell=4)
+        reg = FirRegression(
+            Phi=rng.standard_normal((40, idx.size)), Yvec=rng.standard_normal(40),
+            indexing=idx, Ts=1.0,
+        )
+        A = rng.standard_normal((9, idx.size))
+        cs = EqualityConstraintSet(
+            A_eq=A, b_eq=A @ rng.standard_normal(idx.size), indexing=idx,
+            provenance=("r",) * 9,
+        )
+        w = default_weight(reg, cs)
+        assert w == 1e6 * np.linalg.norm(reg.Phi, 2) / np.linalg.norm(A, 2)
+        assert "singular_values" in vars(cs)
+
+    def test_matches_stacked_lstsq_bitwise(self):
+        rng = np.random.default_rng(17)
+        idx = MarkovIndexing(n_y=2, n_u=2, ell=5)
+        reg = FirRegression(
+            Phi=rng.standard_normal((30, idx.size)), Yvec=rng.standard_normal(30),
+            indexing=idx, Ts=1.0,
+        )
+        A = rng.standard_normal((6, idx.size))
+        b = rng.standard_normal(6)
+        cs = EqualityConstraintSet(A_eq=A, b_eq=b, indexing=idx, provenance=("r",) * 6)
+        w = 1e3
+        m_ref = np.linalg.lstsq(
+            np.vstack([reg.Phi, w * A]), np.concatenate([reg.Yvec, w * b]), rcond=None
+        )[0]
+        np.testing.assert_array_equal(idx.vec(ls_equality_weighted(reg, cs, w).markov), m_ref)
+
     def test_invalid_weight(self):
         with pytest.raises(ValueError, match="weight"):
             ls_equality_weighted(toy_regression(), toy_constraint(), 0.0)

@@ -306,6 +306,30 @@ class TestCheckConsistency:
         assert report == check_consistency(compile_priors([], SISO3, Ts=1.0))
         assert report.rank == 0 and not report.infeasible
 
+    def test_singular_values_computed_once(self, monkeypatch):
+        idx = MarkovIndexing(n_y=2, n_u=2, ell=6)
+        priors = [FirstOrderDecay(i=1, j=1, tau=3.0, gain=2.0), ZeroChannel(i=2, j=1),
+                  GainRatio(i=1, j=1, p=2, q=2, ratio=0.5)]
+        cs = compile_priors(priors, idx, Ts=1.0)
+        shapes = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        s = cs.singular_values
+        assert cs.singular_values is s and not s.flags.writeable
+        np.testing.assert_array_equal(s, svd(cs.A_eq, compute_uv=False))
+        report = check_consistency(cs)
+        assert report.rank == cs.n_rows and not report.infeasible
+        # A_eq itself is factored once; only [A_eq | b_eq] is added
+        assert shapes == [cs.A_eq.shape, (cs.n_rows, idx.size + 1)]
+
+    def test_singular_values_of_empty_set(self):
+        assert compile_priors([], SISO3, Ts=1.0).singular_values.shape == (0,)
+
 
 class TestConstraintResidual:
     def test_first_order_prototype_consistent(self):
