@@ -305,8 +305,7 @@ def _write_report(path, config, data, result):
         f"estimator_cond: {_fmt6(est.diagnostics.get('cond', float('nan')))}",
         f"reconstruction_error: {_fmt6(result.reconstruction_error)}",
     ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fileio._write_lines(path, lines)
 
 
 def _generator_model(config: RunConfig) -> StateSpaceModel:
@@ -423,20 +422,10 @@ def run_mc_compare(config: RunConfig) -> dict[str, str]:
     summary_path = os.path.join(config.output_dir, "summary.txt")
 
     keys = list(runs[0].keys())
-    lines = [",".join(keys)]
-    for record in runs:
-        fields_out = []
-        for key in keys:
-            if key == "run":
-                fields_out.append(str(int(record[key])))
-            else:
-                fields_out.append(f"{record[key]:.17g}")
-        lines.append(",".join(fields_out))
-    with open(runs_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_format_summary(summary) + "\n")
+    fileio._write_lines(runs_path, [",".join(keys)] + [
+        ",".join(str(int(r[k])) if k == "run" else f"{r[k]:.17g}" for k in keys) for r in runs
+    ])
+    fileio._write_lines(summary_path, [_format_summary(summary)])
     print(_format_summary(summary))
     return {"runs": runs_path, "summary": summary_path}
 
@@ -469,25 +458,12 @@ def _format_summary(summary: dict[str, Any]) -> str:
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
+# JSON config key -> RunConfig field: the field names, but "ts" and "input"
+# for Ts and input_kind; priors are parsed apart.
 _CONFIG_KEYS = {
-    "dataset": "dataset",
-    "ts": "Ts",
-    "ell": "ell",
-    "q": "q",
-    "p": "p",
-    "mode": "mode",
-    "weight": "weight",
-    "delays": "delays",
-    "order": "order",
-    "order_tol": "order_tol",
-    "seed": "seed",
-    "mc_runs": "mc_runs",
-    "snr_db": "snr_db",
-    "generator": "generator",
-    "model_file": "model_file",
-    "input": "input_kind",
-    "n_samples": "n_samples",
-    "output_dir": "output_dir",
+    {"Ts": "ts", "input_kind": "input"}.get(f.name, f.name): f.name
+    for f in fields(RunConfig)
+    if f.name != "priors"
 }
 
 

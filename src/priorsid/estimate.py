@@ -208,10 +208,12 @@ def ls_unconstrained(reg: FirRegression) -> EstimateResult:
 def ls_equality_exact(reg: FirRegression, cs: EqualityConstraintSet) -> EstimateResult:
     """Constrained least squares by null-space elimination.
 
-    Solves min ||Phi m - Yvec|| subject to A_eq m = b_eq: a minimum-norm
-    particular solution of the constraints plus an unconstrained solve for
-    the null-space coordinates.  The returned estimate satisfies the
-    constraints to roughly machine precision.
+    Solves min ||Phi m - Yvec|| subject to A_eq m = b_eq: the minimum-norm
+    particular solution of the constraints, read from ``cs.consistency``,
+    plus an unconstrained solve for the coordinates in a null-space basis
+    Z of A_eq.  An empty set has Z = I and gives the unconstrained
+    estimate.  The returned estimate satisfies the constraints to roughly
+    machine precision.
 
     Raises:
         InfeasibleConstraintsError: if the constraint set is inconsistent.
@@ -224,19 +226,6 @@ def ls_equality_exact(reg: FirRegression, cs: EqualityConstraintSet) -> Estimate
             f"{cs.n_rows} rows, redundant rows {list(report.redundant_rows)}); "
             "fix the priors or use the weighted mode"
         )
-    if cs.n_rows == 0:
-        base = ls_unconstrained(reg)
-        diagnostics = dict(base.diagnostics)
-        diagnostics.update({"constraint_rows": 0, "constraint_rank": 0, "null_dim": reg.indexing.size})
-        return EstimateResult(
-            markov=base.markov,
-            residual_norm=base.residual_norm,
-            constraint_residual=0.0,
-            method="exact",
-            diagnostics=diagnostics,
-        )
-
-    m_particular, _, _, _ = np.linalg.lstsq(cs.A_eq, cs.b_eq, rcond=None)
     Z = _null_space(cs.A_eq)
     if Z.shape[1] == 0:
         warnings.warn(
@@ -244,18 +233,15 @@ def ls_equality_exact(reg: FirRegression, cs: EqualityConstraintSet) -> Estimate
             EstimationWarning,
             stacklevel=2,
         )
-        m_hat = m_particular
+        m_hat = report.particular
         diagnostics: dict[str, Any] = {
-            "rank": 0,
-            "columns": 0,
-            "rank_deficient": False,
-            "cond": float("nan"),
+            "rank": 0, "columns": 0, "rank_deficient": False, "cond": float("nan")
         }
     else:
         reduced = reg.Phi @ Z
-        rhs = reg.Yvec - reg.Phi @ m_particular
+        rhs = reg.Yvec - reg.Phi @ report.particular
         zeta, _, rank, s = np.linalg.lstsq(reduced, rhs, rcond=None)
-        m_hat = m_particular + Z @ zeta
+        m_hat = report.particular + Z @ zeta
         diagnostics = _lstsq_diagnostics(reduced, s, rank)
     diagnostics.update(
         {
@@ -278,12 +264,11 @@ def default_weight(reg: FirRegression, cs: EqualityConstraintSet) -> float:
 
     1e6 times the ratio of the largest singular values of Phi and A_eq:
     large enough that the constraints dominate, small enough to keep the
-    stacked problem solvable in double precision.  sigma_max(A_eq) is read
-    from ``cs.singular_values``, the SVD the consistency check also uses.
+    stacked problem solvable in double precision.  sigma_max(A_eq) is the
+    ``sigma_max`` of ``cs.consistency``, taken from its block factorizations.
     """
     smax_phi = float(np.linalg.norm(reg.Phi, 2)) if reg.Phi.size else 0.0
-    smax_a = float(cs.singular_values[0]) if cs.A_eq.size else 0.0
-    w = 1e6 * smax_phi / max(smax_a, np.finfo(float).eps)
+    w = 1e6 * smax_phi / max(cs.consistency.sigma_max, np.finfo(float).eps)
     return w if w > 0 else 1.0
 
 

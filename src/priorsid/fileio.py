@@ -71,6 +71,12 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _write_lines(path, lines: list[str]) -> None:
+    """Write ``lines`` with LF endings and a final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def load_dataset(path, Ts: float) -> IdentDataset:
     """Parse a dataset CSV and validate it against the declared Ts.
 
@@ -171,8 +177,7 @@ def write_dataset(path, data: IdentDataset) -> None:
         fields += [_fmt(v) for v in data.U[row]]
         fields += [_fmt(v) for v in data.Y[row]]
         lines.append(",".join(fields))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_markov_csv(path, markov: MarkovSequence) -> None:
@@ -182,8 +187,7 @@ def write_markov_csv(path, markov: MarkovSequence) -> None:
         for i in range(1, markov.n_y + 1):
             for j in range(1, markov.n_u + 1):
                 lines.append(f"{k},{i},{j},{_fmt(markov.blocks[k, i - 1, j - 1])}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_model_file(path, model: StateSpaceModel) -> None:
@@ -193,8 +197,7 @@ def write_model_file(path, model: StateSpaceModel) -> None:
         lines.append(f"{label}:")
         for row in range(mat.shape[0]):
             lines.append(" ".join(_fmt(v) for v in mat[row]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_model_file(path) -> StateSpaceModel:
@@ -249,8 +252,7 @@ def write_constraints_csv(path, cs: EqualityConstraintSet) -> None:
         tag = cs.provenance[row].replace(",", ";")
         fields = [tag] + [_fmt(v) for v in cs.A_eq[row]] + [_fmt(cs.b_eq[row])]
         lines.append(",".join(fields))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 _PRIOR_KEYS = {

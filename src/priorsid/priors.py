@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -112,6 +112,13 @@ def _check_channel_fields(i: int, j: int) -> None:
         raise ValueError(f"channel indices are 1-based, got (i={i}, j={j})")
 
 
+def _check_finite(prior: object, *names: str) -> None:
+    for name in names:
+        value = getattr(prior, name)
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class DcGain:
     """Known steady-state gain of one input-output couple: sum_k M_k(i,j) = value."""
@@ -122,6 +129,7 @@ class DcGain:
 
     def __post_init__(self) -> None:
         _check_channel_fields(self.i, self.j)
+        _check_finite(self, "value")
 
 
 @dataclass(frozen=True)
@@ -152,6 +160,7 @@ class GainRatio:
     def __post_init__(self) -> None:
         _check_channel_fields(self.i, self.j)
         _check_channel_fields(self.p, self.q)
+        _check_finite(self, "ratio")
 
 
 @dataclass(frozen=True)
@@ -172,6 +181,7 @@ class FirstOrderDecay:
         _check_channel_fields(self.i, self.j)
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"tau must be a positive real, got {self.tau}")
+        _check_finite(self, "gain")
 
 
 @dataclass(frozen=True)
@@ -187,6 +197,7 @@ class IntegratorChannel:
 
     def __post_init__(self) -> None:
         _check_channel_fields(self.i, self.j)
+        _check_finite(self, "gain")
 
 
 @dataclass(frozen=True)
@@ -212,6 +223,7 @@ class SecondOrderRecurrence:
             if len(seed) != 2:
                 raise ValueError(f"seed must be a (beta1, beta0) pair, got {self.seed}")
             object.__setattr__(self, "seed", seed)
+        _check_finite(self, "alpha1", "alpha0", "seed")
 
 
 @dataclass(frozen=True)
@@ -271,13 +283,6 @@ class EqualityConstraintSet:
         return self.A_eq.shape[0]
 
     @functools.cached_property
-    def singular_values(self) -> np.ndarray:
-        """Singular values of A_eq in descending order, computed on first access."""
-        s = np.linalg.svd(self.A_eq, compute_uv=False)
-        s.setflags(write=False)
-        return s
-
-    @functools.cached_property
     def consistency(self) -> ConsistencyReport:
         """:func:`check_consistency` of this set, computed on first access."""
         return check_consistency(self)
@@ -285,11 +290,17 @@ class EqualityConstraintSet:
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Rank diagnostics of a constraint set."""
+    """Rank diagnostics and minimum-norm solution of a constraint set.
+
+    ``sigma_max`` is 0 for an empty set.  ``particular`` is the read-only
+    minimum-norm least-squares solution of A_eq m = b_eq, left out of ==.
+    """
 
     rank: int
     redundant_rows: tuple[int, ...]
     infeasible: bool
+    sigma_max: float
+    particular: np.ndarray = field(compare=False, repr=False)
 
 
 class _RowBuilder:
@@ -364,7 +375,9 @@ def compile_priors(
 
     A recurrence prior that compiles to the lone M_0 row (its horizon is
     too short for any recurrence row, and no seed row fits or none was
-    given) triggers a :class:`ConstraintCompileWarning`.
+    given) triggers a :class:`ConstraintCompileWarning`.  A row that
+    cancels to zero, as in ``GainRatio(i, j, i, j, 1.0)``, raises a
+    ``ValueError`` naming its prior.
     """
     if not (math.isfinite(Ts) and Ts > 0):
         raise ValueError(f"Ts must be a positive real, got {Ts}")
@@ -421,6 +434,8 @@ def compile_priors(
     for r, entries in enumerate(out.rows):
         for idx, coeff in entries.items():
             A_eq[r, idx] += coeff
+        if not A_eq[r].any():
+            raise ValueError(f"{out.tags[r]} compiles to an all-zero constraint row")
     return EqualityConstraintSet(
         A_eq=A_eq,
         b_eq=np.asarray(out.rhs, dtype=float),
@@ -430,36 +445,69 @@ def compile_priors(
 
 
 def _rank(s: np.ndarray, shape: tuple[int, ...]) -> int:
-    """Count of singular values ``s`` (nonempty, descending) above sigma_max * max(shape) * eps."""
-    tol = s[0] * max(shape) * np.finfo(float).eps
-    return int(np.count_nonzero(s > tol))
+    """Count of singular values ``s`` (descending) above s[0] * max(shape) * eps; 0 if empty."""
+    return int(np.count_nonzero(s > s[0] * max(shape) * np.finfo(float).eps)) if s.size else 0
+
+
+def _blocks(cs: EqualityConstraintSet) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Row and column indices of the diagonal blocks of A_eq, by lowest channel.
+
+    Column c holds channel c % (n_y * n_u).  Channels joined by a chain of
+    rows share a block, whose columns are all lags of its channels; each
+    row has a nonzero, so it lies in one block.
+    """
+    n_ch = cs.indexing.n_y * cs.indexing.n_u
+    rows, cols = np.nonzero(cs.A_eq)
+    touches = np.zeros((cs.n_rows, n_ch), dtype=bool)
+    touches[rows, cols % n_ch] = True
+    joined = (touches.T.astype(int) @ touches > 0) | np.eye(n_ch, dtype=bool)
+    for _ in range(n_ch.bit_length()):  # each squaring doubles the chain length covered
+        joined = joined.astype(int) @ joined > 0
+    label = joined.argmax(axis=1)  # lowest channel of each block
+    row_label = label[cols[np.searchsorted(rows, np.arange(cs.n_rows))] % n_ch]
+    col_label = label[np.arange(cs.indexing.size) % n_ch]
+    return [
+        (np.flatnonzero(row_label == lab), np.flatnonzero(col_label == lab))
+        for lab in np.unique(row_label)
+    ]
 
 
 def check_consistency(cs: EqualityConstraintSet) -> ConsistencyReport:
-    """Rank, redundant rows and feasibility of a constraint set.
+    """Rank, redundant rows, feasibility, sigma_max and minimum-norm solution.
 
-    Rank uses the SVD with tolerance sigma_max * max(rows, cols) * eps; the
-    singular values of A_eq are those cached on ``cs.singular_values``.
-    Redundant rows are the ones a pivoted QR of A_eq^T leaves out of the
-    leading independent set; at full row rank there are none, and the QR
-    (the one use of scipy in the package) is skipped.  The set is
-    infeasible when appending b_eq raises the rank (some combination of
-    rows demands 0 = nonzero).
+    A_eq is block diagonal up to a permutation (:func:`_blocks`).  Each
+    block's b is scaled exactly, by a power of 2, to max |b| in [0.5, 1);
+    then one ``np.linalg.lstsq`` gives the block's rank (:func:`_rank` on
+    its shape), sigma_max and minimum-norm solution x.  A block is
+    infeasible when ||A x - b|| > 1e3 max(rows, cols) eps (||b|| +
+    sigma_max ||x||), so no scale of b hides a contradiction; in units of
+    max(rows, cols) eps (...), feasible blocks were seen below 1 and
+    contradictions above 1e8.  A pivoted QR of A^T (scipy) picks the
+    redundant rows of rank-deficient blocks only.  Ranks add up, sigma_max
+    is the largest, and ``particular`` joins the blocks' x (zero on
+    untouched columns).
     """
-    if cs.n_rows == 0:
-        return ConsistencyReport(rank=0, redundant_rows=(), infeasible=False)
-    rank = _rank(cs.singular_values, cs.A_eq.shape)
-    augmented = np.column_stack([cs.A_eq, cs.b_eq])
-    rank_aug = _rank(np.linalg.svd(augmented, compute_uv=False), augmented.shape)
-    redundant: tuple[int, ...] = ()
-    if rank < cs.n_rows:
-        import scipy.linalg
+    particular = np.zeros(cs.indexing.size)
+    rank, sigma_max, infeasible, redundant = 0, 0.0, False, []
+    eps = np.finfo(float).eps
+    for rows, cols in _blocks(cs):
+        A, b = cs.A_eq[np.ix_(rows, cols)], cs.b_eq[rows]
+        e = np.frexp(np.abs(b).max())[1]
+        b = np.ldexp(b, -e)  # no norm below underflows or overflows
+        x, _, _, s = np.linalg.lstsq(A, b, rcond=None)
+        block_rank = _rank(s, A.shape)
+        bound = 1e3 * max(A.shape) * eps * (np.linalg.norm(b) + s[0] * np.linalg.norm(x))
+        infeasible = infeasible or bool(np.linalg.norm(A @ x - b) > bound)
+        if block_rank < len(rows):
+            import scipy.linalg
 
-        _, _, piv = scipy.linalg.qr(cs.A_eq.T, mode="economic", pivoting=True)
-        redundant = tuple(sorted(int(r) for r in piv[rank:]))
-    return ConsistencyReport(
-        rank=rank, redundant_rows=redundant, infeasible=rank_aug > rank
-    )
+            piv = scipy.linalg.qr(A.T, mode="r", pivoting=True)[1]
+            redundant += rows[piv[block_rank:]].tolist()
+        rank += block_rank
+        sigma_max = max(sigma_max, float(s[0]))
+        particular[cols] = np.ldexp(x, e)
+    particular.setflags(write=False)
+    return ConsistencyReport(rank, tuple(sorted(redundant)), infeasible, sigma_max, particular)
 
 
 def constraint_residual(cs: EqualityConstraintSet, markov: MarkovSequence) -> float:

@@ -151,23 +151,11 @@ def kung_realize(
                 f"order {n} exceeds the Hankel rank bound min(q*n_y, p*n_u) = {max_order}"
             )
 
-    D = markov.blocks[0]
-    if n == 0:
-        model = StateSpaceModel(
-            A=np.zeros((0, 0)),
-            B=np.zeros((0, n_u)),
-            C=np.zeros((n_y, 0)),
-            D=D,
-            Ts=markov.Ts,
-        )
-    else:
-        sqrt_s = np.sqrt(s[:n])
-        obs = U[:, :n] * sqrt_s
-        ctr = sqrt_s[:, None] * Vt[:n]
-        C = obs[:n_y]
-        B = ctr[:, :n_u]
-        A, _, _, _ = np.linalg.lstsq(obs[:-n_y], obs[n_y:], rcond=None)
-        model = StateSpaceModel(A=A, B=B, C=C, D=D, Ts=markov.Ts)
+    sqrt_s = np.sqrt(s[:n])  # n = 0 gives the static model D = M_0
+    obs = U[:, :n] * sqrt_s
+    ctr = sqrt_s[:, None] * Vt[:n]
+    A, _, _, _ = np.linalg.lstsq(obs[:-n_y], obs[n_y:], rcond=None)
+    model = StateSpaceModel(A=A, B=ctr[:, :n_u], C=obs[:n_y], D=markov.blocks[0], Ts=markov.Ts)
 
     realized = markov_sequence(model, q + p - 1)
     error = float(

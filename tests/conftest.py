@@ -1,0 +1,6 @@
+"""Test-suite settings: hypothesis draws the same cases on every run."""
+
+from hypothesis import settings
+
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")

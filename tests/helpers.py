@@ -1,17 +1,24 @@
 """Shared generators and oracles for the test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from priorsid import (
+    DcGain,
     FirRegression,
     FirstOrder,
+    FirstOrderDecay,
+    GainRatio,
     Integrator,
+    IntegratorChannel,
     IntegratorFirstOrder,
     MarkovIndexing,
     SecondOrderOsc,
+    SecondOrderRecurrence,
     StateSpaceModel,
     TwoTimeConstants,
+    ZeroChannel,
     block_hankel,
     markov_sequence,
 )
@@ -130,3 +137,47 @@ def kkt_solve(Phi, y, A, b):
     kkt[:n, n:] = A.T
     kkt[n:, :n] = A
     return np.linalg.solve(kkt, np.concatenate([Phi.T @ y, b]))[:n]
+
+
+@st.composite
+def prior_sets(draw, coupled=False):
+    """A random (priors, indexing) pair on up to 3x3 channels and 12 lags.
+
+    Values lie in [-10, 10] and ratios in +-[0.1, 10], so sets may be
+    feasible or not.  ``coupled`` appends a ``GainRatio`` that joins two
+    distinct channels.
+    """
+    n_y = draw(st.integers(1, 3))
+    n_u = draw(st.integers(2 if coupled and n_y == 1 else 1, 3))
+    indexing = MarkovIndexing(n_y=n_y, n_u=n_u, ell=draw(st.integers(1, 12)))
+    channel = st.tuples(st.integers(1, n_y), st.integers(1, n_u))
+    value = st.floats(-10.0, 10.0)
+    gain = st.none() | value
+    pole = st.floats(-0.95, 0.95)
+
+    def ratio_between(c, d, r):
+        return GainRatio(*c, *d, ratio=r)
+
+    ratio = st.builds(
+        ratio_between, channel, channel, st.floats(0.1, 10.0) | st.floats(-10.0, -0.1)
+    ).filter(lambda g: (g.i, g.j) != (g.p, g.q))
+    prior = st.one_of(
+        st.builds(lambda c, v: DcGain(*c, value=v), channel, value),
+        st.builds(
+            lambda c, tau, g: FirstOrderDecay(*c, tau=tau, gain=g),
+            channel, st.floats(0.5, 20.0), gain,
+        ),
+        st.builds(lambda c, g: IntegratorChannel(*c, gain=g), channel, gain),
+        st.builds(
+            lambda c, p1, p2, seed: SecondOrderRecurrence(
+                *c, alpha1=-(p1 + p2), alpha0=p1 * p2, seed=seed
+            ),
+            channel, pole, pole, st.none() | st.tuples(value, value),
+        ),
+        st.builds(lambda c: ZeroChannel(*c), channel),
+        ratio,
+    )
+    priors = draw(st.lists(prior, min_size=1, max_size=6))
+    if coupled:
+        priors.append(draw(ratio))
+    return priors, indexing

@@ -305,6 +305,54 @@ class TestIdentifyCommand:
         assert (override_dir / "report.txt").exists()
         assert not (tmp_path / "from_config").exists()
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            '{"type": "dc_gain", "i": 1, "j": 1, "value": NaN}',
+            '{"type": "first_order_decay", "i": 1, "j": 1, "tau": 10.0, "gain": Infinity}',
+            '{"type": "gain_ratio", "i": 1, "j": 1, "p": 1, "q": 1, "ratio": -Infinity}',
+        ],
+    )
+    def test_non_finite_prior_value_exit_code(self, tmp_path, capsys, entry):
+        data = make_dataset_file(tmp_path, snr=10.0)
+        priors = tmp_path / "priors.json"
+        priors.write_text('{"priors": [' + entry + "]}")
+        code = main(
+            [
+                "identify", "--dataset", str(data), "--ts", "1", "--ell", "10",
+                "--mode", "exact", "--priors", str(priors),
+                "--output-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("g", [1.0, 1e6, 1e12, 1e15])
+    @pytest.mark.parametrize(
+        "n_u, entries",
+        [
+            (2, [{"type": "zero_channel", "i": 1, "j": 1},
+                 {"type": "dc_gain", "i": 1, "j": 1, "value": 1.0},
+                 {"type": "dc_gain", "i": 1, "j": 2, "value": "g"}]),
+            (1, [{"type": "zero_channel", "i": 1, "j": 1},
+                 {"type": "dc_gain", "i": 1, "j": 1, "value": "g"}]),
+        ],
+    )
+    def test_contradiction_refused_at_any_scale(self, tmp_path, g, n_u, entries):
+        rng = np.random.default_rng(3)
+        data = tmp_path / "data.csv"
+        U, Y = rng.standard_normal((80, n_u)), rng.standard_normal((80, 1))
+        write_dataset(data, IdentDataset(U=U, Y=Y, Ts=1.0))
+        entries = [{k: g if v == "g" else v for k, v in e.items()} for e in entries]
+        code = main(
+            [
+                "identify", "--dataset", str(data), "--ts", "1", "--ell", "30",
+                "--mode", "exact", "--priors", str(write_priors_file(tmp_path, entries)),
+                "--output-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == EXIT_INFEASIBLE
+
     def test_unknown_config_key(self, tmp_path):
         config_path = tmp_path / "cfg.json"
         config_path.write_text('{"bogus": 1}')

@@ -1,13 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from priorsid import (
     EqualityConstraintSet,
     EstimationWarning,
     FirRegression,
+    GainRatio,
     IdentDataset,
     InfeasibleConstraintsError,
     MarkovIndexing,
+    SecondOrderRecurrence,
     build_fir_regression,
     compile_priors,
     default_weight,
@@ -17,7 +23,7 @@ from priorsid import (
     markov_sequence,
     simulate,
 )
-from helpers import dense_fir_regression, kkt_solve, random_stable_model
+from helpers import dense_fir_regression, kkt_solve, prior_sets, random_stable_model
 from priorsid.estimate import _null_space
 
 
@@ -204,11 +210,51 @@ class TestEqualityExact:
         data = simulated_dataset(rng, model, 60)
         reg = build_fir_regression(data, 8)
         cs = compile_priors([], reg.indexing, Ts=1.0)
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(
             ls_equality_exact(reg, cs).markov.blocks,
             ls_unconstrained(reg).markov.blocks,
-            atol=1e-12,
         )
+
+    @settings(deadline=None)
+    @given(case=prior_sets(), seed=st.integers(0, 2**32 - 1))
+    def test_null_dim_is_size_minus_rank(self, case, seed):
+        priors, idx = case
+        rng = np.random.default_rng(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            declared = compile_priors(priors, idx, Ts=1.0)
+            cs = EqualityConstraintSet(
+                A_eq=declared.A_eq, b_eq=declared.A_eq @ rng.standard_normal(idx.size),
+                indexing=idx, provenance=declared.provenance,
+            )
+            rows = idx.size + 5
+            reg = FirRegression(
+                Phi=rng.standard_normal((rows, idx.size)), Yvec=rng.standard_normal(rows),
+                indexing=idx, Ts=1.0,
+            )
+            result = ls_equality_exact(reg, cs)
+        assert result.diagnostics["null_dim"] == idx.size - cs.consistency.rank
+        assert result.constraint_residual <= 1e-10 * max(1.0, np.linalg.norm(cs.b_eq))
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="_null_space cuts A_eq's singular values at the largest of the whole "
+        "set, so a large GainRatio drops true directions of another block",
+    )
+    def test_null_space_rank_does_not_depend_on_other_blocks(self):
+        idx = MarkovIndexing(n_y=2, n_u=2, ell=100)
+        priors = [GainRatio(i=1, j=1, p=1, q=2, ratio=1e10),
+                  SecondOrderRecurrence(i=2, j=1, alpha1=-2.0, alpha0=1.0)]
+        cs = compile_priors(priors, idx, Ts=1.0)
+        rng = np.random.default_rng(0)
+        reg = FirRegression(
+            Phi=rng.standard_normal((600, idx.size)), Yvec=rng.standard_normal(600),
+            indexing=idx, Ts=1.0,
+        )
+        result = ls_equality_exact(reg, cs)
+        assert result.diagnostics["null_dim"] == idx.size - cs.consistency.rank
+        assert result.constraint_residual <= 1e-9 * max(1.0, np.linalg.norm(cs.b_eq))
 
     def test_infeasible_rejected(self):
         cs = EqualityConstraintSet(
@@ -337,7 +383,7 @@ class TestEqualityWeighted:
         result = ls_equality_weighted(reg, cs)
         assert f"w={w:g}" in result.method
 
-    def test_default_weight_reads_constraint_singular_values(self):
+    def test_default_weight_reads_report_sigma_max(self):
         rng = np.random.default_rng(7)
         idx = MarkovIndexing(n_y=2, n_u=3, ell=4)
         reg = FirRegression(
@@ -350,8 +396,10 @@ class TestEqualityWeighted:
             provenance=("r",) * 9,
         )
         w = default_weight(reg, cs)
-        assert w == 1e6 * np.linalg.norm(reg.Phi, 2) / np.linalg.norm(A, 2)
-        assert "singular_values" in vars(cs)
+        sigma_max = cs.consistency.sigma_max
+        assert w == 1e6 * np.linalg.norm(reg.Phi, 2) / sigma_max
+        norm = np.linalg.norm(A, 2)
+        assert abs(sigma_max - norm) <= 1e-15 * norm
 
     def test_matches_stacked_lstsq_bitwise(self):
         rng = np.random.default_rng(17)

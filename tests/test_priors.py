@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -32,7 +33,8 @@ from priorsid import (
     prototype_statespace,
     zoh_second_order,
 )
-from helpers import random_prototype
+from priorsid.priors import _blocks, _rank
+from helpers import prior_sets, random_prototype
 
 SISO3 = MarkovIndexing(n_y=1, n_u=1, ell=3)
 
@@ -262,6 +264,31 @@ class TestCompile:
         assert cs.A_eq[0, idx.index(0, 1, 1)] == 1.0 and cs.b_eq[0] == 0.0
         assert [w.category for w in caught] == ([ConstraintCompileWarning] if warns else [])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda v: DcGain(i=1, j=1, value=v), "value"),
+            (lambda v: GainRatio(i=1, j=1, p=1, q=2, ratio=v), "ratio"),
+            (lambda v: FirstOrderDecay(i=1, j=1, tau=2.0, gain=v), "gain"),
+            (lambda v: IntegratorChannel(i=1, j=1, gain=v), "gain"),
+            (lambda v: SecondOrderRecurrence(i=1, j=1, alpha1=v, alpha0=0.5), "alpha1"),
+            (lambda v: SecondOrderRecurrence(i=1, j=1, alpha1=-1.0, alpha0=v), "alpha0"),
+            (
+                lambda v: SecondOrderRecurrence(i=1, j=1, alpha1=-1.0, alpha0=0.5, seed=(1.0, v)),
+                "seed",
+            ),
+        ],
+    )
+    def test_non_finite_value_names_field(self, make, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make(bad)
+
+    def test_all_zero_row_names_its_prior(self):
+        prior = GainRatio(i=1, j=1, p=1, q=1, ratio=1.0)
+        with pytest.raises(ValueError, match=re.escape(f"{prior!r} compiles to an all-zero")):
+            compile_priors([DcGain(i=1, j=1, value=2.0), prior], SISO3, Ts=1.0)
+
     def test_channel_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             compile_priors([DcGain(i=2, j=1, value=1.0)], SISO3, Ts=1.0)
@@ -306,29 +333,118 @@ class TestCheckConsistency:
         assert report == check_consistency(compile_priors([], SISO3, Ts=1.0))
         assert report.rank == 0 and not report.infeasible
 
-    def test_singular_values_computed_once(self, monkeypatch):
+    def test_each_block_factored_once(self, monkeypatch):
+        # the GainRatio joins channels (1, 1) and (2, 2); ZeroChannel(2, 1) is alone
         idx = MarkovIndexing(n_y=2, n_u=2, ell=6)
         priors = [FirstOrderDecay(i=1, j=1, tau=3.0, gain=2.0), ZeroChannel(i=2, j=1),
                   GainRatio(i=1, j=1, p=2, q=2, ratio=0.5)]
         cs = compile_priors(priors, idx, Ts=1.0)
         shapes = []
-        svd = np.linalg.svd
+        for name in ("svd", "lstsq", "qr", "matrix_rank"):
+            original = getattr(np.linalg, name)
 
-        def counting(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
+            def counting(a, *args, _original=original, **kwargs):
+                shapes.append(np.shape(a))
+                return _original(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counting)
-        s = cs.singular_values
-        assert cs.singular_values is s and not s.flags.writeable
-        np.testing.assert_array_equal(s, svd(cs.A_eq, compute_uv=False))
-        report = check_consistency(cs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        report = cs.consistency
+        assert cs.consistency is report
         assert report.rank == cs.n_rows and not report.infeasible
-        # A_eq itself is factored once; only [A_eq | b_eq] is added
-        assert shapes == [cs.A_eq.shape, (cs.n_rows, idx.size + 1)]
+        # (7 decay rows + 1 ratio row) x 2 channels, then 7 rows x 1 channel
+        assert shapes == [(8, 14), (7, 7)]
+        assert [(len(r), len(c)) for r, c in _blocks(cs)] == shapes
 
-    def test_singular_values_of_empty_set(self):
-        assert compile_priors([], SISO3, Ts=1.0).singular_values.shape == (0,)
+    def test_blocks_partition_rows_by_channel(self):
+        idx = MarkovIndexing(n_y=2, n_u=3, ell=2)
+        priors = [ZeroChannel(i=2, j=3), GainRatio(i=1, j=1, p=2, q=2, ratio=2.0),
+                  DcGain(i=1, j=2, value=1.0), GainRatio(i=2, j=2, p=1, q=3, ratio=0.5)]
+        cs = compile_priors(priors, idx, Ts=1.0)
+        blocks = _blocks(cs)
+        assert sorted(int(r) for rows, _ in blocks for r in rows) == list(range(cs.n_rows))
+        channels = [sorted({int(c) % 6 for c in cols}) for _, cols in blocks]
+        # channel (i, j) is column (j - 1) * n_y + (i - 1) of each lag
+        assert channels == [[0, 3, 4], [2], [5]]
+        for (rows, cols), chans in zip(blocks, channels):
+            outside = np.setdiff1d(np.arange(idx.size), cols)
+            assert not cs.A_eq[np.ix_(rows, outside)].any()
+            assert len(cols) == len(chans) * (idx.ell + 1)
+
+    def test_empty_set_report(self):
+        report = compile_priors([], SISO3, Ts=1.0).consistency
+        assert report.rank == 0 and report.sigma_max == 0.0 and not report.infeasible
+        np.testing.assert_array_equal(report.particular, np.zeros(SISO3.size))
+        assert not report.particular.flags.writeable
+
+    @pytest.mark.parametrize("g", [1.0, 1e6, 1e12, 1e15])
+    def test_feasibility_does_not_depend_on_scale(self, g):
+        two = MarkovIndexing(n_y=1, n_u=2, ell=30)
+        one = MarkovIndexing(n_y=1, n_u=1, ell=30)
+        coupled = [ZeroChannel(i=1, j=1), DcGain(i=1, j=1, value=1.0), DcGain(i=1, j=2, value=g)]
+        assert compile_priors(coupled, two, Ts=1.0).consistency.infeasible
+        lone = [ZeroChannel(i=1, j=1), DcGain(i=1, j=1, value=g)]
+        assert compile_priors(lone, one, Ts=1.0).consistency.infeasible
+        decay = [FirstOrderDecay(i=1, j=1, tau=5.0), DcGain(i=1, j=1, value=g)]
+        assert not compile_priors(decay, one, Ts=1.0).consistency.infeasible
+
+
+def _compile_quietly(priors, indexing):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConstraintCompileWarning)
+        return compile_priors(priors, indexing, Ts=1.0)
+
+
+class TestBlockProperties:
+    @settings(deadline=None)
+    @given(case=prior_sets(), pick=st.integers(0, 20), k=st.integers(-6, 15))
+    def test_verdict_does_not_depend_on_block_scale(self, case, pick, k):
+        cs = _compile_quietly(*case)
+        blocks = _blocks(cs)
+        rows, _ = blocks[pick % len(blocks)]
+        b = cs.b_eq.copy()
+        b[rows] *= 10.0**k
+        scaled = EqualityConstraintSet(
+            A_eq=cs.A_eq, b_eq=b, indexing=cs.indexing, provenance=cs.provenance
+        )
+        assert scaled.consistency.infeasible == cs.consistency.infeasible
+
+    @settings(deadline=None)
+    @given(
+        case=prior_sets(),
+        seed=st.integers(0, 2**32 - 1),
+        pick=st.integers(0, 8),
+        v=st.floats(0.5, 10.0) | st.floats(-10.0, -0.5),
+    )
+    def test_injected_contradiction_is_infeasible(self, case, seed, pick, v):
+        priors, idx = case
+        feasible = _compile_quietly(priors, idx)
+        channel = divmod(pick % (idx.n_y * idx.n_u), idx.n_u)
+        i, j = channel[0] + 1, channel[1] + 1
+        cs = _compile_quietly(priors + [ZeroChannel(i=i, j=j), DcGain(i=i, j=j, value=v)], idx)
+        # the declared rows get a right-hand side that some Markov vector meets
+        b = cs.b_eq.copy()
+        m = np.random.default_rng(seed).standard_normal(idx.size)
+        b[: feasible.n_rows] = feasible.A_eq @ m
+        cs = EqualityConstraintSet(
+            A_eq=cs.A_eq, b_eq=b, indexing=idx, provenance=cs.provenance
+        )
+        assert cs.consistency.infeasible
+
+    @settings(deadline=None)
+    @given(case=prior_sets(coupled=True))
+    def test_particular_matches_dense_minimum_norm_solution(self, case):
+        # The oracle is one SVD of the whole A_eq, cut by the same rank rule.
+        # np.linalg.lstsq(A_eq, b_eq) is not: its SVD can keep a round-off
+        # singular value just above the cutoff (ZeroChannel(2, 1) twice,
+        # FirstOrderDecay(1, 1, 1.0, 1.0) and GainRatio(1, 1, 3, 1, 1.0) at
+        # n_y=3, ell=9 give 3.2e-14 against a cutoff of 3.1e-14), and then
+        # its solution is not the minimum-norm one.
+        cs = _compile_quietly(*case)
+        U, s, Vt = np.linalg.svd(cs.A_eq, full_matrices=False)
+        r = _rank(s, cs.A_eq.shape)
+        m_ref = Vt[:r].T @ ((U[:, :r].T @ cs.b_eq) / s[:r])
+        diff = np.linalg.norm(cs.consistency.particular - m_ref)
+        assert diff <= 1e-12 * np.linalg.norm(m_ref)
 
 
 class TestConstraintResidual:
