@@ -11,8 +11,10 @@ stacked Markov vector m.  Three solvers are provided:
   of A_eq m = b_eq plus an unconstrained solve in the null-space
   coordinates, so the constraints hold to machine precision.
 * :func:`ls_equality_weighted` - the method of weighting: the constraint
-  rows are appended with a large weight and solved as one ordinary
-  least-squares problem, which tolerates (and reports) inconsistent priors.
+  rows enter the objective with a large weight, which tolerates (and
+  reports) inconsistent priors.  It is solved from the SVDs of the
+  constraint blocks, in the coordinates those SVDs give (Van Loan 1985),
+  without stacking the constraint rows under the regressor.
 """
 
 from __future__ import annotations
@@ -277,10 +279,26 @@ def ls_equality_weighted(
 ) -> EstimateResult:
     """Constrained least squares by the method of weighting.
 
-    Minimizes ||Phi m - Yvec||^2 + weight^2 ||A_eq m - b_eq||^2 as one
-    stacked least-squares problem.  Contradictory priors do not abort:
-    the solver blends them and reports the leftover constraint residual
-    with a warning.  ``weight=None`` applies :func:`default_weight`.
+    Minimizes ||Phi m - Yvec||^2 + weight^2 ||A_eq m - b_eq||^2, the
+    least-squares problem of the stacked matrix [Phi; weight A_eq], from
+    the block SVDs A_b = U_b S_b V_b^T of ``cs.block_svds``; no stacked
+    matrix is formed.  Let V1, S and U1 gather the blocks' leading
+    ``rank`` singular triplets and V2 the remaining directions, which
+    include the columns no row touches.  With m = V1 a + V2 z and
+    a = S^-1 (c + e / weight), c = U1^T b_eq, the objective is
+    ||K e + G2 z - d||^2 + ||e||^2 up to a constant, where G = Phi V,
+    K = G1 S^-1 / weight and d = Yvec - G1 S^-1 c.  With the thin SVD
+    K = Uk diag(sk) Vk^T, z solves the least squares of
+    W (G2 z - d), W = I - Uk diag(1 - (1 + sk^2)^-1/2) Uk^T, and then
+    e = Vk diag(sk / (1 + sk^2)) Uk^T (d - G2 z).
+
+    Diagnostics: ``rank`` is the sum of the block ranks plus the rank of
+    W G2; ``cond`` is the largest over the smallest of weight * S and the
+    singular values of W G2, which at the default weight agrees with the
+    condition number of the stacked matrix.  Contradictory priors do not
+    abort: the solver blends them and reports the leftover constraint
+    residual with a warning.  ``weight=None`` applies
+    :func:`default_weight`.
     """
     _check_constrained(reg, cs)
     if weight is None:
@@ -294,13 +312,44 @@ def ls_equality_weighted(
             EstimationWarning,
             stacklevel=2,
         )
-    n_data = reg.Phi.shape[0]
-    stacked = np.empty((n_data + cs.n_rows, reg.Phi.shape[1]))
-    stacked[:n_data] = reg.Phi
-    np.multiply(weight, cs.A_eq, out=stacked[n_data:])
-    rhs = np.concatenate([reg.Yvec, weight * cs.b_eq])
-    m_hat, _, rank, s = np.linalg.lstsq(stacked, rhs, rcond=None)
-    diagnostics = _lstsq_diagnostics(stacked, s, rank)
+    n_data, size = reg.Phi.shape
+    rank = sum(block.rank for block in cs.block_svds)
+    K = np.empty((n_data, rank))  # G1 until it is scaled into K
+    G2 = np.empty((n_data, size - rank))
+    s1, c = np.empty(rank), np.empty(rank)
+    free = np.ones(size, dtype=bool)
+    spans = []
+    at1 = at2 = 0
+    for rows, cols, U, s, Vt, r in cs.block_svds:
+        G = reg.Phi[:, cols] @ Vt.T
+        span1, span2 = slice(at1, at1 + r), slice(at2, at2 + len(cols) - r)
+        K[:, span1], G2[:, span2] = G[:, :r], G[:, r:]
+        s1[span1], c[span1] = s[:r], U[:, :r].T @ cs.b_eq[rows]
+        free[cols] = False
+        spans.append((cols, Vt, span1, span2))
+        at1, at2 = span1.stop, span2.stop
+    G2[:, at2:] = reg.Phi[:, free]
+    a0 = c / s1
+    d = reg.Yvec - K @ a0
+    K /= weight * s1
+    Uk, sk, Vkt = np.linalg.svd(K, full_matrices=False)
+    del K  # K, Uk and G2 go as soon as they are used: they set the memory peak
+    hk = np.hypot(1.0, sk)
+    shrink = sk**2 / (hk * (hk + 1.0))  # 1 - 1 / hk without cancellation
+    P, q = Uk.T @ G2, Uk.T @ d
+    G2 -= Uk @ (shrink[:, None] * P)  # now W G2
+    Wd = d - Uk @ (shrink * q)
+    del Uk
+    z, _, rank_z, sz = np.linalg.lstsq(G2, Wd, rcond=None)
+    del G2
+    e = Vkt.T @ (sk / hk**2 * (q - P @ z))  # Uk^T (d - G2 z) = q - P z
+    a = a0 + e / (weight * s1)
+    m_hat = np.empty(size)
+    for cols, Vt, span1, span2 in spans:
+        m_hat[cols] = Vt.T @ np.concatenate([a[span1], z[span2]])
+    m_hat[free] = z[at2:]
+    singular_values = np.sort(np.concatenate([weight * s1, sz]))[::-1]
+    diagnostics = _lstsq_diagnostics(reg.Phi, singular_values, rank + rank_z)
     diagnostics["weight"] = float(weight)
     if diagnostics["cond"] > 1e14:
         warnings.warn(

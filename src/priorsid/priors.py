@@ -22,8 +22,8 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import InitVar, dataclass, field
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "ZeroChannel",
     "PriorSpec",
     "EqualityConstraintSet",
+    "BlockSvd",
     "ConsistencyReport",
     "ConstraintCompileWarning",
     "InfeasibleConstraintsError",
@@ -248,16 +249,38 @@ PriorSpec = Union[
 ]
 
 
+class BlockSvd(NamedTuple):
+    """SVD ``A_eq[rows][:, cols] = U diag(s) Vt`` of one diagonal block of A_eq.
+
+    ``Vt`` is square, so its rows from ``rank`` on span the block's null
+    space; ``U`` has min(len(rows), len(cols)) columns.  ``rank`` applies
+    the rule of :func:`_rank` to ``s``.  The arrays are read-only.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    U: np.ndarray
+    s: np.ndarray
+    Vt: np.ndarray
+    rank: int
+
+
 @dataclass(frozen=True)
 class EqualityConstraintSet:
-    """Rows A_eq m = b_eq on the stacked Markov vector, with provenance tags."""
+    """Rows A_eq m = b_eq on the stacked Markov vector, with provenance tags.
+
+    The set keeps read-only copies of A_eq and b_eq.  ``copy=False`` hands
+    fresh float arrays over instead: they are frozen in place and must not
+    be written through any other reference.
+    """
 
     A_eq: np.ndarray
     b_eq: np.ndarray
     indexing: MarkovIndexing
     provenance: tuple[str, ...]
+    copy: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, copy: bool) -> None:
         A = np.asarray(self.A_eq, dtype=float)
         b = np.asarray(self.b_eq, dtype=float).reshape(-1)
         if A.ndim != 2 or A.shape[1] != self.indexing.size:
@@ -270,8 +293,9 @@ class EqualityConstraintSet:
             raise ValueError("provenance must carry one tag per row")
         if A.shape[0] and not np.all(np.any(A != 0.0, axis=1)):
             raise ValueError("every constraint row must have at least one nonzero entry")
-        A = A.copy()
-        b = b.copy()
+        if copy:
+            A = A.copy()
+            b = b.copy()
         A.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "A_eq", A)
@@ -281,6 +305,19 @@ class EqualityConstraintSet:
     @property
     def n_rows(self) -> int:
         return self.A_eq.shape[0]
+
+    @functools.cached_property
+    def block_svds(self) -> tuple[BlockSvd, ...]:
+        """One :class:`BlockSvd` per block of :func:`_blocks`, computed on first access."""
+        svds = []
+        for rows, cols in _blocks(self):
+            A = self.A_eq[np.ix_(rows, cols)]
+            # a square Vt holds the null space; U stays at most the block's size
+            U, s, Vt = np.linalg.svd(A, full_matrices=len(rows) < len(cols))
+            for array in (U, s, Vt):
+                array.setflags(write=False)
+            svds.append(BlockSvd(rows, cols, U, s, Vt, _rank(s, A.shape)))
+        return tuple(svds)
 
     @functools.cached_property
     def consistency(self) -> ConsistencyReport:
@@ -441,6 +478,7 @@ def compile_priors(
         b_eq=np.asarray(out.rhs, dtype=float),
         indexing=indexing,
         provenance=tuple(out.tags),
+        copy=False,
     )
 
 
@@ -475,10 +513,10 @@ def _blocks(cs: EqualityConstraintSet) -> list[tuple[np.ndarray, np.ndarray]]:
 def check_consistency(cs: EqualityConstraintSet) -> ConsistencyReport:
     """Rank, redundant rows, feasibility, sigma_max and minimum-norm solution.
 
-    A_eq is block diagonal up to a permutation (:func:`_blocks`).  Each
-    block's b is scaled exactly, by a power of 2, to max |b| in [0.5, 1);
-    then one ``np.linalg.lstsq`` gives the block's rank (:func:`_rank` on
-    its shape), sigma_max and minimum-norm solution x.  A block is
+    Reads the block SVDs of ``cs.block_svds``.  Each block's b is scaled
+    exactly, by a power of 2, to max |b| in [0.5, 1); its minimum-norm
+    solution is x = V1 S1^-1 U1^T b over the block's ``rank`` leading
+    singular triplets, and its sigma_max is ||A v_1||.  A block is
     infeasible when ||A x - b|| > 1e3 max(rows, cols) eps (||b|| +
     sigma_max ||x||), so no scale of b hides a contradiction; in units of
     max(rows, cols) eps (...), feasible blocks were seen below 1 and
@@ -490,13 +528,14 @@ def check_consistency(cs: EqualityConstraintSet) -> ConsistencyReport:
     particular = np.zeros(cs.indexing.size)
     rank, sigma_max, infeasible, redundant = 0, 0.0, False, []
     eps = np.finfo(float).eps
-    for rows, cols in _blocks(cs):
+    for rows, cols, U, s, Vt, block_rank in cs.block_svds:
         A, b = cs.A_eq[np.ix_(rows, cols)], cs.b_eq[rows]
         e = np.frexp(np.abs(b).max())[1]
         b = np.ldexp(b, -e)  # no norm below underflows or overflows
-        x, _, _, s = np.linalg.lstsq(A, b, rcond=None)
-        block_rank = _rank(s, A.shape)
-        bound = 1e3 * max(A.shape) * eps * (np.linalg.norm(b) + s[0] * np.linalg.norm(x))
+        x = Vt[:block_rank].T @ ((U[:, :block_rank].T @ b) / s[:block_rank])
+        # second order in the error of Vt[0]; s[0] itself can be off by a few ulp
+        sigma = float(np.linalg.norm(A @ Vt[0]))
+        bound = 1e3 * max(A.shape) * eps * (np.linalg.norm(b) + sigma * np.linalg.norm(x))
         infeasible = infeasible or bool(np.linalg.norm(A @ x - b) > bound)
         if block_rank < len(rows):
             import scipy.linalg
@@ -504,7 +543,7 @@ def check_consistency(cs: EqualityConstraintSet) -> ConsistencyReport:
             piv = scipy.linalg.qr(A.T, mode="r", pivoting=True)[1]
             redundant += rows[piv[block_rank:]].tolist()
         rank += block_rank
-        sigma_max = max(sigma_max, float(s[0]))
+        sigma_max = max(sigma_max, sigma)
         particular[cols] = np.ldexp(x, e)
     particular.setflags(write=False)
     return ConsistencyReport(rank, tuple(sorted(redundant)), infeasible, sigma_max, particular)

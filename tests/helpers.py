@@ -1,10 +1,13 @@
 """Shared generators and oracles for the test suite."""
 
+import warnings
+
 import numpy as np
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from priorsid import (
+    ConstraintCompileWarning,
     DcGain,
     FirRegression,
     FirstOrder,
@@ -20,6 +23,7 @@ from priorsid import (
     TwoTimeConstants,
     ZeroChannel,
     block_hankel,
+    compile_priors,
     markov_sequence,
 )
 
@@ -137,6 +141,25 @@ def kkt_solve(Phi, y, A, b):
     kkt[:n, n:] = A.T
     kkt[n:, :n] = A
     return np.linalg.solve(kkt, np.concatenate([Phi.T @ y, b]))[:n]
+
+
+def stacked_weighted_lstsq(Phi, y, A, b, weight):
+    """Oracle for the method of weighting: one lstsq of [Phi; weight A] on [y; weight b].
+
+    Returns the estimate, the stacked matrix, its right-hand side, and the
+    rank and singular values of the stacked matrix.
+    """
+    stacked = np.vstack([Phi, weight * A])
+    rhs = np.concatenate([y, weight * b])
+    m, _, rank, s = np.linalg.lstsq(stacked, rhs, rcond=None)
+    return m, stacked, rhs, int(rank), s
+
+
+def compile_quietly(priors, indexing):
+    """compile_priors at Ts=1 with its short-horizon warnings silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConstraintCompileWarning)
+        return compile_priors(priors, indexing, Ts=1.0)
 
 
 @st.composite

@@ -6,14 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from priorsid import (
+    DcGain,
     EqualityConstraintSet,
     EstimationWarning,
     FirRegression,
+    FirstOrderDecay,
     GainRatio,
     IdentDataset,
     InfeasibleConstraintsError,
+    IntegratorChannel,
     MarkovIndexing,
     SecondOrderRecurrence,
+    ZeroChannel,
     build_fir_regression,
     compile_priors,
     default_weight,
@@ -23,7 +27,14 @@ from priorsid import (
     markov_sequence,
     simulate,
 )
-from helpers import dense_fir_regression, kkt_solve, prior_sets, random_stable_model
+from helpers import (
+    compile_quietly,
+    dense_fir_regression,
+    kkt_solve,
+    prior_sets,
+    random_stable_model,
+    stacked_weighted_lstsq,
+)
 from priorsid.estimate import _null_space
 
 
@@ -50,6 +61,37 @@ def toy_constraint(rhs=3.0):
 def simulated_dataset(rng, model, n_samples):
     U = rng.standard_normal((n_samples, model.n_u))
     return IdentDataset(U=U, Y=simulate(model, U), Ts=model.Ts)
+
+
+def assert_matches_stacked_oracle(reg, cs, weight):
+    """The weighted estimate against one lstsq of the stacked system.
+
+    The estimates may differ by the forward error bound of a least-squares
+    solve (Golub & Van Loan, Thm 5.3.1), eps (2 cond / cos(theta) +
+    cond^2 tan(theta)) with sin(theta) = ||residual|| / ||rhs||, times 10,
+    and by at least 1e-12.  With a small residual that is 10 cond eps; a
+    large one (contradictory rows under a large weight) or a fit far
+    below the right-hand side (homogeneous rows that pin m near 0) lets
+    the stacked solve itself drift.  The objective must not exceed the
+    oracle's by more than 1e-12 relative.
+    """
+    result = ls_equality_weighted(reg, cs, weight)
+    weight = result.diagnostics["weight"]
+    m = cs.indexing.vec(result.markov)
+    m_ref, stacked, rhs, _, s = stacked_weighted_lstsq(
+        reg.Phi, reg.Yvec, cs.A_eq, cs.b_eq, weight
+    )
+    fit, residual = np.linalg.norm(stacked @ m_ref), np.linalg.norm(stacked @ m_ref - rhs)
+    cond = s[0] / s[-1]
+    with np.errstate(divide="ignore"):
+        cos, tan = fit / np.linalg.norm(rhs), residual / fit
+    bound = 10 * np.finfo(float).eps * (2 * cond / cos + cond**2 * tan)
+    assert np.linalg.norm(m - m_ref) <= max(1e-12, bound) * np.linalg.norm(m_ref)
+
+    def objective(v):
+        return np.linalg.norm(stacked @ v - rhs) ** 2
+
+    assert objective(m) <= objective(m_ref) * (1 + 1e-12)
 
 
 class TestBuildFirRegression:
@@ -375,6 +417,22 @@ class TestEqualityWeighted:
         assert np.all(np.isfinite(result.markov.blocks))
         assert result.constraint_residual > 0.1
 
+    @pytest.mark.parametrize("weight", [10.0, 1e4, 1e8])
+    def test_contradictory_rows_match_closed_form(self, weight):
+        # ||m - 1||^2 + w^2 ((s - 1)^2 + (s - 2)^2) with s = m_0 + m_1 is least
+        # at m_0 = m_1 = s / 2, s = (2 + 6 w^2) / (1 + 4 w^2); one lstsq of the
+        # stacked system misses it by 7e-9 relative at w = 1e8
+        cs = EqualityConstraintSet(
+            A_eq=np.array([[1.0, 1.0], [1.0, 1.0]]),
+            b_eq=np.array([1.0, 2.0]),
+            indexing=MarkovIndexing(n_y=1, n_u=1, ell=1),
+            provenance=("a", "b"),
+        )
+        with pytest.warns(EstimationWarning, match="contradictory"):
+            result = ls_equality_weighted(toy_regression(), cs, weight)
+        s = (2 + 6 * weight**2) / (1 + 4 * weight**2)
+        np.testing.assert_allclose(result.markov.blocks.ravel(), [s / 2, s / 2], rtol=1e-14)
+
     def test_default_weight_positive_and_used(self):
         reg = toy_regression()
         cs = toy_constraint()
@@ -401,21 +459,81 @@ class TestEqualityWeighted:
         norm = np.linalg.norm(A, 2)
         assert abs(sigma_max - norm) <= 1e-15 * norm
 
-    def test_matches_stacked_lstsq_bitwise(self):
+    @pytest.mark.parametrize("weight", [1e-9, 1e3, None, 1e8])
+    @pytest.mark.parametrize(
+        "dims, priors",
+        [
+            ((2, 2, 5), [FirstOrderDecay(i=1, j=1, tau=4.0), DcGain(i=2, j=2, value=1.5),
+                         GainRatio(i=1, j=1, p=2, q=1, ratio=0.5)]),
+            ((3, 2, 4), [DcGain(i=1, j=2, value=1.0), DcGain(i=1, j=2, value=1.0),
+                         ZeroChannel(i=3, j=1)]),
+            ((2, 3, 4), [DcGain(i=2, j=3, value=1.0), DcGain(i=2, j=3, value=2.0),
+                         IntegratorChannel(i=1, j=1)]),
+            ((3, 3, 3), [ZeroChannel(i=2, j=2)]),
+            ((2, 2, 0), [DcGain(i=1, j=1, value=1.0), GainRatio(i=2, j=2, p=1, q=2, ratio=3.0),
+                         ZeroChannel(i=2, j=1)]),
+        ],
+        ids=["coupled", "duplicate", "contradictory", "free-channels", "ell0"],
+    )
+    def test_matches_stacked_oracle(self, dims, priors, weight):
+        n_y, n_u, ell = dims
+        idx = MarkovIndexing(n_y=n_y, n_u=n_u, ell=ell)
         rng = np.random.default_rng(17)
-        idx = MarkovIndexing(n_y=2, n_u=2, ell=5)
+        rows = idx.size + 5
         reg = FirRegression(
-            Phi=rng.standard_normal((30, idx.size)), Yvec=rng.standard_normal(30),
+            Phi=rng.standard_normal((rows, idx.size)), Yvec=rng.standard_normal(rows),
             indexing=idx, Ts=1.0,
         )
-        A = rng.standard_normal((6, idx.size))
-        b = rng.standard_normal(6)
-        cs = EqualityConstraintSet(A_eq=A, b_eq=b, indexing=idx, provenance=("r",) * 6)
-        w = 1e3
-        m_ref = np.linalg.lstsq(
-            np.vstack([reg.Phi, w * A]), np.concatenate([reg.Yvec, w * b]), rcond=None
-        )[0]
-        np.testing.assert_array_equal(idx.vec(ls_equality_weighted(reg, cs, w).markov), m_ref)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EstimationWarning)
+            assert_matches_stacked_oracle(reg, compile_priors(priors, idx, Ts=1.0), weight)
+
+    @settings(deadline=None)
+    @given(
+        case=prior_sets(coupled=True),
+        seed=st.integers(0, 2**32 - 1),
+        weight=st.sampled_from([1e-9, 1e3, None, 1e8]),
+    )
+    def test_matches_stacked_oracle_on_random_sets(self, case, seed, weight):
+        rng = np.random.default_rng(seed)
+        cs = compile_quietly(*case)
+        rows = cs.indexing.size + 5
+        reg = FirRegression(
+            Phi=rng.standard_normal((rows, cs.indexing.size)), Yvec=rng.standard_normal(rows),
+            indexing=cs.indexing, Ts=1.0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EstimationWarning)
+            assert_matches_stacked_oracle(reg, cs, weight)
+
+    def test_diagnostics_match_stacked_at_default_weight(self):
+        rng = np.random.default_rng(19)
+        idx = MarkovIndexing(n_y=2, n_u=2, ell=6)
+        priors = [FirstOrderDecay(i=1, j=1, tau=4.0), DcGain(i=2, j=1, value=1.0),
+                  GainRatio(i=1, j=2, p=2, q=2, ratio=2.0)]
+        cs = compile_priors(priors, idx, Ts=1.0)
+        reg = FirRegression(
+            Phi=rng.standard_normal((40, idx.size)), Yvec=rng.standard_normal(40),
+            indexing=idx, Ts=1.0,
+        )
+        result = ls_equality_weighted(reg, cs)
+        _, _, _, rank, s = stacked_weighted_lstsq(
+            reg.Phi, reg.Yvec, cs.A_eq, cs.b_eq, result.diagnostics["weight"]
+        )
+        assert result.diagnostics["rank"] == rank
+        assert result.diagnostics["cond"] == pytest.approx(s[0] / s[-1], rel=0.01)
+
+    def test_huge_weight_warns_bad_conditioning(self):
+        rng = np.random.default_rng(23)
+        idx = MarkovIndexing(n_y=1, n_u=2, ell=4)
+        reg = FirRegression(
+            Phi=rng.standard_normal((20, idx.size)), Yvec=rng.standard_normal(20),
+            indexing=idx, Ts=1.0,
+        )
+        cs = compile_priors([FirstOrderDecay(i=1, j=1, tau=3.0)], idx, Ts=1.0)
+        with pytest.warns(EstimationWarning, match="badly conditioned"):
+            result = ls_equality_weighted(reg, cs, 1e20)
+        assert result.diagnostics["cond"] > 1e14
 
     def test_invalid_weight(self):
         with pytest.raises(ValueError, match="weight"):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -34,7 +35,7 @@ from priorsid import (
     zoh_second_order,
 )
 from priorsid.priors import _blocks, _rank
-from helpers import prior_sets, random_prototype
+from helpers import compile_quietly, prior_sets, random_prototype
 
 SISO3 = MarkovIndexing(n_y=1, n_u=1, ell=3)
 
@@ -388,17 +389,11 @@ class TestCheckConsistency:
         assert not compile_priors(decay, one, Ts=1.0).consistency.infeasible
 
 
-def _compile_quietly(priors, indexing):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConstraintCompileWarning)
-        return compile_priors(priors, indexing, Ts=1.0)
-
-
 class TestBlockProperties:
     @settings(deadline=None)
     @given(case=prior_sets(), pick=st.integers(0, 20), k=st.integers(-6, 15))
     def test_verdict_does_not_depend_on_block_scale(self, case, pick, k):
-        cs = _compile_quietly(*case)
+        cs = compile_quietly(*case)
         blocks = _blocks(cs)
         rows, _ = blocks[pick % len(blocks)]
         b = cs.b_eq.copy()
@@ -417,10 +412,10 @@ class TestBlockProperties:
     )
     def test_injected_contradiction_is_infeasible(self, case, seed, pick, v):
         priors, idx = case
-        feasible = _compile_quietly(priors, idx)
+        feasible = compile_quietly(priors, idx)
         channel = divmod(pick % (idx.n_y * idx.n_u), idx.n_u)
         i, j = channel[0] + 1, channel[1] + 1
-        cs = _compile_quietly(priors + [ZeroChannel(i=i, j=j), DcGain(i=i, j=j, value=v)], idx)
+        cs = compile_quietly(priors + [ZeroChannel(i=i, j=j), DcGain(i=i, j=j, value=v)], idx)
         # the declared rows get a right-hand side that some Markov vector meets
         b = cs.b_eq.copy()
         m = np.random.default_rng(seed).standard_normal(idx.size)
@@ -439,7 +434,7 @@ class TestBlockProperties:
         # FirstOrderDecay(1, 1, 1.0, 1.0) and GainRatio(1, 1, 3, 1, 1.0) at
         # n_y=3, ell=9 give 3.2e-14 against a cutoff of 3.1e-14), and then
         # its solution is not the minimum-norm one.
-        cs = _compile_quietly(*case)
+        cs = compile_quietly(*case)
         U, s, Vt = np.linalg.svd(cs.A_eq, full_matrices=False)
         r = _rank(s, cs.A_eq.shape)
         m_ref = Vt[:r].T @ ((U[:, :r].T @ cs.b_eq) / s[:r])
@@ -551,6 +546,29 @@ def matching_priors(proto, Ts, with_gain):
 
 
 class TestEqualityConstraintSetValidation:
+    def test_caller_arrays_are_copied(self):
+        A, b = np.ones((1, SISO3.size)), np.zeros(1)
+        cs = EqualityConstraintSet(A_eq=A, b_eq=b, indexing=SISO3, provenance=("r",))
+        A[0, 0] = b[0] = 5.0
+        assert cs.A_eq[0, 0] == 1.0 and cs.b_eq[0] == 0.0
+        assert not cs.A_eq.flags.writeable and not cs.b_eq.flags.writeable
+
+    def test_compile_holds_one_dense_matrix(self):
+        # the prior-heavy benchmark's set: 1084 x 1089, 9.4 MB
+        idx = MarkovIndexing(n_y=3, n_u=3, ell=120)
+        taus = {(1, 1): 10.0, (1, 3): 6.0, (2, 1): 15.0, (2, 2): 8.0, (3, 2): 20.0, (3, 3): 4.0}
+        priors = [FirstOrderDecay(i=i, j=j, tau=tau) for (i, j), tau in taus.items()]
+        priors += [ZeroChannel(i=i, j=j) for i, j in ((1, 2), (2, 3), (3, 1))]
+        priors.append(GainRatio(i=1, j=1, p=2, q=1, ratio=1.7))
+        tracemalloc.start()
+        try:
+            cs = compile_priors(priors, idx, Ts=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cs.A_eq.shape == (1084, 1089)
+        assert peak <= 1.2 * cs.A_eq.nbytes
+
     def test_zero_row_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             EqualityConstraintSet(
