@@ -7,14 +7,16 @@ stacked Markov vector m.  Three solvers are provided:
 * :func:`ls_unconstrained` - plain least squares, minimum-norm when the
   regressor is rank deficient (short or poorly exciting data never aborts,
   it just gets flagged).
-* :func:`ls_equality_exact` - null-space elimination: a particular solution
-  of A_eq m = b_eq plus an unconstrained solve in the null-space
-  coordinates, so the constraints hold to machine precision.
+* :func:`ls_equality_exact` - null-space elimination: the constraints fix
+  the coordinates along A_eq's row space and an unconstrained solve finds
+  the rest, so the constraints hold to machine precision.
 * :func:`ls_equality_weighted` - the method of weighting: the constraint
   rows enter the objective with a large weight, which tolerates (and
-  reports) inconsistent priors.  It is solved from the SVDs of the
-  constraint blocks, in the coordinates those SVDs give (Van Loan 1985),
-  without stacking the constraint rows under the regressor.
+  reports) inconsistent priors (Van Loan 1985).
+
+Both constrained solvers work in the coordinates m = V1 a + V2 z of the
+cached SVDs of the diagonal blocks of A_eq (``cs.block_svds``), so each
+constraint set is factored, and its rank decided, once, block by block.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .priors import (
     EqualityConstraintSet,
     InfeasibleConstraintsError,
     MarkovIndexing,
-    _rank,
 )
 from .statespace import MarkovSequence
 
@@ -164,18 +165,8 @@ def _lstsq_diagnostics(matrix: np.ndarray, s: np.ndarray, rank: int) -> dict[str
         "rank": int(rank),
         "columns": int(matrix.shape[1]),
         "rank_deficient": bool(rank < matrix.shape[1]),
-        "cond": cond,
+        "cond": cond if s.size else float("nan"),  # nan: no column to solve for
     }
-
-
-def _null_space(A: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the null space of A, one column per direction.
-
-    Same rule as scipy.linalg.null_space: singular values at or below
-    sigma_max * max(A.shape) * eps count as zero.
-    """
-    _, s, Vh = np.linalg.svd(A, full_matrices=True)
-    return Vh[_rank(s, A.shape) :].T
 
 
 def _check_constrained(reg: FirRegression, cs: EqualityConstraintSet) -> None:
@@ -207,15 +198,58 @@ def ls_unconstrained(reg: FirRegression) -> EstimateResult:
     )
 
 
+def _block_coordinates(reg: FirRegression, cs: EqualityConstraintSet):
+    """Phi in the coordinates m = V1 a + V2 z of the block SVDs of ``cs``.
+
+    V1 gathers each block's leading ``rank`` right singular vectors of
+    ``cs.block_svds``; V2 gathers each block's remaining ones, then the
+    identity on the channels no row touches.  Returns G1 = Phi V1,
+    G2 = Phi V2, the kept singular values s1, a0 = S1^-1 U1^T b_eq, and
+    lift(a, z) = V1 a + V2 z.  An untouched channel is copied into G2 as a
+    strided slice of Phi, never through a gathered copy.
+    """
+    n_data, size = reg.Phi.shape
+    n_ch = reg.indexing.n_y * reg.indexing.n_u
+    rank = sum(block.rank for block in cs.block_svds)
+    G1 = np.empty((n_data, rank))
+    G2 = np.empty((n_data, size - rank))
+    s1, c = np.empty(rank), np.empty(rank)
+    free = np.ones(n_ch, dtype=bool)
+    spans = []
+    at1 = at2 = 0
+    for rows, cols, U, s, Vt, r in cs.block_svds:
+        G = reg.Phi[:, cols] @ Vt.T
+        span1, span2 = slice(at1, at1 + r), slice(at2, at2 + len(cols) - r)
+        G1[:, span1], G2[:, span2] = G[:, :r], G[:, r:]
+        s1[span1], c[span1] = s[:r], U[:, :r].T @ cs.b_eq[rows]
+        free[cols % n_ch] = False
+        spans.append((cols, Vt, span1, span2))
+        at1, at2 = span1.stop, span2.stop
+    free_ch = np.flatnonzero(free)
+    for i, ch in enumerate(free_ch):  # column c holds channel c % n_ch
+        G2[:, at2 + i :: len(free_ch)] = reg.Phi[:, ch::n_ch]
+
+    def lift(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+        m = np.empty(size)
+        for cols, Vt, span1, span2 in spans:
+            m[cols] = Vt.T @ np.concatenate([a[span1], z[span2]])
+        m[np.tile(free, reg.indexing.ell + 1)] = z[at2:]
+        return m
+
+    return G1, G2, s1, c / s1, lift
+
+
 def ls_equality_exact(reg: FirRegression, cs: EqualityConstraintSet) -> EstimateResult:
     """Constrained least squares by null-space elimination.
 
-    Solves min ||Phi m - Yvec|| subject to A_eq m = b_eq: the minimum-norm
-    particular solution of the constraints, read from ``cs.consistency``,
-    plus an unconstrained solve for the coordinates in a null-space basis
-    Z of A_eq.  An empty set has Z = I and gives the unconstrained
-    estimate.  The returned estimate satisfies the constraints to roughly
-    machine precision.
+    Solves min ||Phi m - Yvec|| subject to A_eq m = b_eq in the block
+    coordinates m = V1 a + V2 z of :func:`_block_coordinates`.  The
+    constraints fix a = a0 = S1^-1 U1^T b_eq, and z is the least-squares
+    solution of Phi V2 z = Yvec - Phi V1 a0: the weighted solution with no
+    slack, its limit as the weight grows.  ``null_dim`` is the column count
+    of V2, the size less the rank of ``cs.consistency``.  An empty set has
+    V2 = I and gives the unconstrained estimate.  The returned estimate
+    satisfies the constraints to roughly machine precision.
 
     Raises:
         InfeasibleConstraintsError: if the constraint set is inconsistent.
@@ -228,28 +262,23 @@ def ls_equality_exact(reg: FirRegression, cs: EqualityConstraintSet) -> Estimate
             f"{cs.n_rows} rows, redundant rows {list(report.redundant_rows)}); "
             "fix the priors or use the weighted mode"
         )
-    Z = _null_space(cs.A_eq)
-    if Z.shape[1] == 0:
+    G1, G2, _, a0, lift = _block_coordinates(reg, cs)
+    d = reg.Yvec - G1 @ a0
+    del G1  # G1 and G2 together are as large as Phi, and lstsq copies G2
+    if G2.shape[1] == 0:
         warnings.warn(
             "constraints fully determine the Markov vector; the data were not used",
             EstimationWarning,
             stacklevel=2,
         )
-        m_hat = report.particular
-        diagnostics: dict[str, Any] = {
-            "rank": 0, "columns": 0, "rank_deficient": False, "cond": float("nan")
-        }
-    else:
-        reduced = reg.Phi @ Z
-        rhs = reg.Yvec - reg.Phi @ report.particular
-        zeta, _, rank, s = np.linalg.lstsq(reduced, rhs, rcond=None)
-        m_hat = report.particular + Z @ zeta
-        diagnostics = _lstsq_diagnostics(reduced, s, rank)
+    z, _, rank, s = np.linalg.lstsq(G2, d, rcond=None)
+    m_hat = lift(a0, z)
+    diagnostics = _lstsq_diagnostics(G2, s, rank)
     diagnostics.update(
         {
             "constraint_rows": cs.n_rows,
             "constraint_rank": report.rank,
-            "null_dim": int(Z.shape[1]),
+            "null_dim": G2.shape[1],
         }
     )
     return EstimateResult(
@@ -312,24 +341,7 @@ def ls_equality_weighted(
             EstimationWarning,
             stacklevel=2,
         )
-    n_data, size = reg.Phi.shape
-    rank = sum(block.rank for block in cs.block_svds)
-    K = np.empty((n_data, rank))  # G1 until it is scaled into K
-    G2 = np.empty((n_data, size - rank))
-    s1, c = np.empty(rank), np.empty(rank)
-    free = np.ones(size, dtype=bool)
-    spans = []
-    at1 = at2 = 0
-    for rows, cols, U, s, Vt, r in cs.block_svds:
-        G = reg.Phi[:, cols] @ Vt.T
-        span1, span2 = slice(at1, at1 + r), slice(at2, at2 + len(cols) - r)
-        K[:, span1], G2[:, span2] = G[:, :r], G[:, r:]
-        s1[span1], c[span1] = s[:r], U[:, :r].T @ cs.b_eq[rows]
-        free[cols] = False
-        spans.append((cols, Vt, span1, span2))
-        at1, at2 = span1.stop, span2.stop
-    G2[:, at2:] = reg.Phi[:, free]
-    a0 = c / s1
+    K, G2, s1, a0, lift = _block_coordinates(reg, cs)  # K is G1 until it is scaled
     d = reg.Yvec - K @ a0
     K /= weight * s1
     Uk, sk, Vkt = np.linalg.svd(K, full_matrices=False)
@@ -343,13 +355,9 @@ def ls_equality_weighted(
     z, _, rank_z, sz = np.linalg.lstsq(G2, Wd, rcond=None)
     del G2
     e = Vkt.T @ (sk / hk**2 * (q - P @ z))  # Uk^T (d - G2 z) = q - P z
-    a = a0 + e / (weight * s1)
-    m_hat = np.empty(size)
-    for cols, Vt, span1, span2 in spans:
-        m_hat[cols] = Vt.T @ np.concatenate([a[span1], z[span2]])
-    m_hat[free] = z[at2:]
+    m_hat = lift(a0 + e / (weight * s1), z)
     singular_values = np.sort(np.concatenate([weight * s1, sz]))[::-1]
-    diagnostics = _lstsq_diagnostics(reg.Phi, singular_values, rank + rank_z)
+    diagnostics = _lstsq_diagnostics(reg.Phi, singular_values, len(s1) + rank_z)
     diagnostics["weight"] = float(weight)
     if diagnostics["cond"] > 1e14:
         warnings.warn(

@@ -456,15 +456,10 @@ class TestRandomPriorFiles:
                     residual, scale = _residual_and_bound_scale(out_dir, priors)
                     assert residual <= 1e-9 * scale
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="_null_space cuts A_eq's singular values at the largest of the whole "
-        "set, so the 1e15 recurrence rows hide the DcGain row from the exact solve",
-    )
     def test_exact_residual_when_one_block_dwarfs_another(self, tmp_path):
-        # found by this class's property on 3000 random examples: exit 0 with
-        # the DcGain(1, 1, 1e12) row missed by 1e12
+        # found by this class's property on 3000 random examples: a rank cut at
+        # the largest singular value of the whole set let the 1e15 recurrence
+        # rows hide the DcGain(1, 1, 1e12) row, which was missed by 1e12
         rng = np.random.default_rng(11)
         data = tmp_path / "data.csv"
         U, Y = rng.standard_normal((60, 2)), rng.standard_normal((60, 2))
@@ -674,6 +669,24 @@ class TestComputedOnce:
         # solver's K (data rows x constraint rank), then the Hankel matrix
         kernel = ((60 - 8) * 2, cs.consistency.rank)
         assert svd_shapes == blocks + [kernel, (result.q * 2, result.p * 2)]
+
+    def test_exact_pipeline_factors_only_blocks_and_hankel(self, svd_shapes):
+        rng = np.random.default_rng(3)
+        data = IdentDataset(
+            U=rng.standard_normal((60, 2)), Y=rng.standard_normal((60, 2)), Ts=1.0
+        )
+        priors = [FirstOrderDecay(i=1, j=1, tau=5.0), ZeroChannel(i=2, j=2),
+                  GainRatio(i=1, j=1, p=2, q=1, ratio=0.5)]
+        result = identify_pipeline(data, priors, ell=8, mode="exact")
+        blocks = [(len(block.rows), len(block.cols)) for block in result.constraints.block_svds]
+        assert svd_shapes == blocks + [(result.q * 2, result.p * 2)]
+
+    def test_exact_mc_compare_factors_once_per_call(self, svd_shapes):
+        config = TestMcCompare().base_config()  # exact mode
+        config.priors = [FirstOrderDecay(i=1, j=1, tau=10.0)]
+        config.mc_runs = 5
+        mc_compare(config)
+        assert svd_shapes == [(20, 21)]
 
     def test_weighted_mc_compare_factors_once_per_call(self, svd_shapes):
         config = TestMcCompare().base_config()
