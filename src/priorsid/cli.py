@@ -311,14 +311,14 @@ def _write_report(path, config, data, result):
 def _generator_model(config: RunConfig) -> StateSpaceModel:
     if config.generator is not None:
         if config.Ts is None:
-            raise ValueError("Ts is required to discretize a prototype generator")
+            raise ValueError("Ts (--ts) is required to discretize a prototype generator")
         from .discretize import prototype_statespace
 
         proto = fileio.prototype_from_dict(config.generator)
         return prototype_statespace(proto, config.Ts)
     if config.model_file is not None:
         return fileio.read_model_file(config.model_file)
-    raise ValueError("mc-compare needs a ground-truth generator (prototype or model file)")
+    raise ValueError("a generator model is required: give --proto or --model-file")
 
 
 def mc_compare(config: RunConfig) -> tuple[list[dict[str, float]], dict[str, Any]]:
@@ -547,17 +547,9 @@ def _prototype_dict_from_args(args: argparse.Namespace) -> dict[str, Any] | None
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    proto_entry = _prototype_dict_from_args(args)
-    if proto_entry is not None:
-        if args.Ts is None:
-            raise ValueError("--ts is required with a prototype generator")
-        from .discretize import prototype_statespace
-
-        model = prototype_statespace(fileio.prototype_from_dict(proto_entry), args.Ts)
-    elif args.model_file is not None:
-        model = fileio.read_model_file(args.model_file)
-    else:
-        raise ValueError("simulate needs either --proto or --model-file")
+    model = _generator_model(
+        RunConfig(Ts=args.Ts, generator=_prototype_dict_from_args(args), model_file=args.model_file)
+    )
     path = run_simulate(
         model, args.input, args.n, args.snr_db, args.seed, args.output
     )

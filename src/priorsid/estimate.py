@@ -15,8 +15,9 @@ stacked Markov vector m.  Three solvers are provided:
   reports) inconsistent priors (Van Loan 1985).
 
 Both constrained solvers work in the coordinates m = V1 a + V2 z of the
-cached SVDs of the diagonal blocks of A_eq (``cs.block_svds``), so each
-constraint set is factored, and its rank decided, once, block by block.
+SVDs of the diagonal blocks of A_eq that the cached consistency check
+keeps (``cs.consistency.blocks``), so each constraint set is factored,
+and its rank decided, once, block by block.
 """
 
 from __future__ import annotations
@@ -169,6 +170,24 @@ def _lstsq_diagnostics(matrix: np.ndarray, s: np.ndarray, rank: int) -> dict[str
     }
 
 
+def _result(
+    reg: FirRegression,
+    m_hat: np.ndarray,
+    method: str,
+    diagnostics: dict[str, Any],
+    cs: EqualityConstraintSet | None = None,
+) -> EstimateResult:
+    """The estimate m_hat with its data residual and, given ``cs``, its constraint residual."""
+    constraint_residual = 0.0 if cs is None else np.linalg.norm(cs.A_eq @ m_hat - cs.b_eq)
+    return EstimateResult(
+        markov=reg.indexing.unvec(m_hat, reg.Ts),
+        residual_norm=float(np.linalg.norm(reg.Phi @ m_hat - reg.Yvec)),
+        constraint_residual=float(constraint_residual),
+        method=method,
+        diagnostics=diagnostics,
+    )
+
+
 def _check_constrained(reg: FirRegression, cs: EqualityConstraintSet) -> None:
     if reg.Phi.shape[0] == 0:
         raise ValueError("empty regression: no usable time samples")
@@ -188,40 +207,33 @@ def ls_unconstrained(reg: FirRegression) -> EstimateResult:
     if reg.Phi.shape[0] == 0:
         raise ValueError("empty regression: no usable time samples")
     m_hat, _, rank, s = np.linalg.lstsq(reg.Phi, reg.Yvec, rcond=None)
-    residual = float(np.linalg.norm(reg.Phi @ m_hat - reg.Yvec))
-    return EstimateResult(
-        markov=reg.indexing.unvec(m_hat, reg.Ts),
-        residual_norm=residual,
-        constraint_residual=0.0,
-        method="unconstrained",
-        diagnostics=_lstsq_diagnostics(reg.Phi, s, rank),
-    )
+    return _result(reg, m_hat, "unconstrained", _lstsq_diagnostics(reg.Phi, s, rank))
 
 
 def _block_coordinates(reg: FirRegression, cs: EqualityConstraintSet):
     """Phi in the coordinates m = V1 a + V2 z of the block SVDs of ``cs``.
 
     V1 gathers each block's leading ``rank`` right singular vectors of
-    ``cs.block_svds``; V2 gathers each block's remaining ones, then the
-    identity on the channels no row touches.  Returns G1 = Phi V1,
-    G2 = Phi V2, the kept singular values s1, a0 = S1^-1 U1^T b_eq, and
+    ``cs.consistency.blocks``; V2 gathers each block's remaining ones, then
+    the identity on the channels no row touches.  Returns G1 = Phi V1,
+    G2 = Phi V2, the kept singular values s1, the blocks' a0 joined, and
     lift(a, z) = V1 a + V2 z.  An untouched channel is copied into G2 as a
     strided slice of Phi, never through a gathered copy.
     """
     n_data, size = reg.Phi.shape
     n_ch = reg.indexing.n_y * reg.indexing.n_u
-    rank = sum(block.rank for block in cs.block_svds)
+    rank = cs.consistency.rank
     G1 = np.empty((n_data, rank))
     G2 = np.empty((n_data, size - rank))
-    s1, c = np.empty(rank), np.empty(rank)
+    s1, a0 = np.empty(rank), np.empty(rank)
     free = np.ones(n_ch, dtype=bool)
     spans = []
     at1 = at2 = 0
-    for rows, cols, U, s, Vt, r in cs.block_svds:
+    for _, cols, s, Vt, r, block_a0 in cs.consistency.blocks:
         G = reg.Phi[:, cols] @ Vt.T
         span1, span2 = slice(at1, at1 + r), slice(at2, at2 + len(cols) - r)
         G1[:, span1], G2[:, span2] = G[:, :r], G[:, r:]
-        s1[span1], c[span1] = s[:r], U[:, :r].T @ cs.b_eq[rows]
+        s1[span1], a0[span1] = s[:r], block_a0
         free[cols % n_ch] = False
         spans.append((cols, Vt, span1, span2))
         at1, at2 = span1.stop, span2.stop
@@ -236,7 +248,7 @@ def _block_coordinates(reg: FirRegression, cs: EqualityConstraintSet):
         m[np.tile(free, reg.indexing.ell + 1)] = z[at2:]
         return m
 
-    return G1, G2, s1, c / s1, lift
+    return G1, G2, s1, a0, lift
 
 
 def ls_equality_exact(reg: FirRegression, cs: EqualityConstraintSet) -> EstimateResult:
@@ -281,13 +293,7 @@ def ls_equality_exact(reg: FirRegression, cs: EqualityConstraintSet) -> Estimate
             "null_dim": G2.shape[1],
         }
     )
-    return EstimateResult(
-        markov=reg.indexing.unvec(m_hat, reg.Ts),
-        residual_norm=float(np.linalg.norm(reg.Phi @ m_hat - reg.Yvec)),
-        constraint_residual=float(np.linalg.norm(cs.A_eq @ m_hat - cs.b_eq)),
-        method="exact",
-        diagnostics=diagnostics,
-    )
+    return _result(reg, m_hat, "exact", diagnostics, cs)
 
 
 def default_weight(reg: FirRegression, cs: EqualityConstraintSet) -> float:
@@ -310,13 +316,13 @@ def ls_equality_weighted(
 
     Minimizes ||Phi m - Yvec||^2 + weight^2 ||A_eq m - b_eq||^2, the
     least-squares problem of the stacked matrix [Phi; weight A_eq], from
-    the block SVDs A_b = U_b S_b V_b^T of ``cs.block_svds``; no stacked
-    matrix is formed.  Let V1, S and U1 gather the blocks' leading
+    the block SVDs A_b = U_b S_b V_b^T of ``cs.consistency.blocks``; no
+    stacked matrix is formed.  Let V1, S and U1 gather the blocks' leading
     ``rank`` singular triplets and V2 the remaining directions, which
     include the columns no row touches.  With m = V1 a + V2 z and
-    a = S^-1 (c + e / weight), c = U1^T b_eq, the objective is
+    a = a0 + S^-1 e / weight, a0 = S^-1 U1^T b_eq, the objective is
     ||K e + G2 z - d||^2 + ||e||^2 up to a constant, where G = Phi V,
-    K = G1 S^-1 / weight and d = Yvec - G1 S^-1 c.  With the thin SVD
+    K = G1 S^-1 / weight and d = Yvec - G1 a0.  With the thin SVD
     K = Uk diag(sk) Vk^T, z solves the least squares of
     W (G2 z - d), W = I - Uk diag(1 - (1 + sk^2)^-1/2) Uk^T, and then
     e = Vk diag(sk / (1 + sk^2)) Uk^T (d - G2 z).
@@ -366,10 +372,4 @@ def ls_equality_weighted(
             EstimationWarning,
             stacklevel=2,
         )
-    return EstimateResult(
-        markov=reg.indexing.unvec(m_hat, reg.Ts),
-        residual_norm=float(np.linalg.norm(reg.Phi @ m_hat - reg.Yvec)),
-        constraint_residual=float(np.linalg.norm(cs.A_eq @ m_hat - cs.b_eq)),
-        method=f"weighted(w={weight:g})",
-        diagnostics=diagnostics,
-    )
+    return _result(reg, m_hat, f"weighted(w={weight:g})", diagnostics, cs)

@@ -18,6 +18,7 @@ Formats:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -255,69 +256,64 @@ def write_constraints_csv(path, cs: EqualityConstraintSet) -> None:
     _write_lines(path, lines)
 
 
-_PRIOR_KEYS = {
-    "dc_gain": {"i", "j", "value"},
-    "dc_gain_matrix": {"matrix"},
-    "gain_ratio": {"i", "j", "p", "q", "ratio"},
-    "first_order_decay": {"i", "j", "tau", "gain"},
-    "integrator": {"i", "j", "gain"},
-    "second_order_recurrence": {"i", "j", "alpha1", "alpha0", "seed"},
-    "zero_channel": {"i", "j"},
+_PRIOR_TYPES = {
+    "dc_gain": DcGain,
+    "dc_gain_matrix": DcGainMatrix,
+    "gain_ratio": GainRatio,
+    "first_order_decay": FirstOrderDecay,
+    "integrator": IntegratorChannel,
+    "second_order_recurrence": SecondOrderRecurrence,
+    "zero_channel": ZeroChannel,
+}
+
+
+def _integer(value) -> int:
+    number = int(value)
+    if number != float(value):
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
+# field annotation of a prior class, less "| None" -> parser of a JSON value
+_FIELD_PARSERS = {
+    "int": _integer,
+    "float": float,
+    "tuple[float, float]": lambda value: tuple(map(float, value)),
+    "np.ndarray": lambda value: np.asarray(value, dtype=float),
 }
 
 
 def prior_from_dict(entry: dict) -> PriorSpec:
-    """Build one PriorSpec from its JSON dictionary form."""
+    """Build one PriorSpec from its JSON dictionary form.
+
+    The keys are ``type`` and the fields of the prior's class; a field with
+    a default may be left out.  A value that is not of its field's type,
+    such as a fractional channel index, raises a ValueError naming the field.
+    """
     if not isinstance(entry, dict) or "type" not in entry:
         raise ValueError(f"prior entry must be a dict with a 'type' key, got {entry!r}")
     kind = entry["type"]
-    if kind not in _PRIOR_KEYS:
+    if kind not in _PRIOR_TYPES:
         raise ValueError(
-            f"unknown prior type {kind!r}; expected one of {sorted(_PRIOR_KEYS)}"
+            f"unknown prior type {kind!r}; expected one of {sorted(_PRIOR_TYPES)}"
         )
-    extra = set(entry) - _PRIOR_KEYS[kind] - {"type"}
+    cls = _PRIOR_TYPES[kind]
+    fields = dataclasses.fields(cls)
+    extra = set(entry) - {f.name for f in fields} - {"type"}
     if extra:
         raise ValueError(f"prior {kind!r} has unknown keys {sorted(extra)}")
-    try:
-        if kind == "dc_gain":
-            return DcGain(i=int(entry["i"]), j=int(entry["j"]), value=float(entry["value"]))
-        if kind == "dc_gain_matrix":
-            return DcGainMatrix(matrix=np.asarray(entry["matrix"], dtype=float))
-        if kind == "gain_ratio":
-            return GainRatio(
-                i=int(entry["i"]),
-                j=int(entry["j"]),
-                p=int(entry["p"]),
-                q=int(entry["q"]),
-                ratio=float(entry["ratio"]),
-            )
-        if kind == "first_order_decay":
-            gain = entry.get("gain")
-            return FirstOrderDecay(
-                i=int(entry["i"]),
-                j=int(entry["j"]),
-                tau=float(entry["tau"]),
-                gain=None if gain is None else float(gain),
-            )
-        if kind == "integrator":
-            gain = entry.get("gain")
-            return IntegratorChannel(
-                i=int(entry["i"]),
-                j=int(entry["j"]),
-                gain=None if gain is None else float(gain),
-            )
-        if kind == "second_order_recurrence":
-            seed = entry.get("seed")
-            return SecondOrderRecurrence(
-                i=int(entry["i"]),
-                j=int(entry["j"]),
-                alpha1=float(entry["alpha1"]),
-                alpha0=float(entry["alpha0"]),
-                seed=None if seed is None else (float(seed[0]), float(seed[1])),
-            )
-        return ZeroChannel(i=int(entry["i"]), j=int(entry["j"]))
-    except KeyError as exc:
-        raise ValueError(f"prior {kind!r} is missing key {exc.args[0]!r}") from exc
+    values = {}
+    for f in fields:
+        value = entry.get(f.name)
+        if value is None and f.default is None:
+            continue  # an optional field, left out or null
+        if f.name not in entry:
+            raise ValueError(f"prior {kind!r} is missing key {f.name!r}")
+        try:
+            values[f.name] = _FIELD_PARSERS[f.type.removesuffix(" | None")](value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"prior {kind!r} field {f.name!r}: {exc}") from exc
+    return cls(**values)
 
 
 def priors_from_file(path) -> list[PriorSpec]:

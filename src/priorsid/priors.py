@@ -253,16 +253,18 @@ class BlockSvd(NamedTuple):
     """SVD ``A_eq[rows][:, cols] = U diag(s) Vt`` of one diagonal block of A_eq.
 
     ``Vt`` is square, so its rows from ``rank`` on span the block's null
-    space; ``U`` has min(len(rows), len(cols)) columns.  ``rank`` applies
-    the rule of :func:`_rank` to ``s``.  The arrays are read-only.
+    space.  ``rank`` applies the rule of :func:`_rank` to ``s``, and
+    ``a0 = S1^-1 U1^T b_eq[rows]`` over the ``rank`` leading singular
+    triplets, so ``Vt[:rank].T @ a0`` is the block's minimum-norm
+    solution.  The arrays are read-only.
     """
 
     rows: np.ndarray
     cols: np.ndarray
-    U: np.ndarray
     s: np.ndarray
     Vt: np.ndarray
     rank: int
+    a0: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -307,19 +309,6 @@ class EqualityConstraintSet:
         return self.A_eq.shape[0]
 
     @functools.cached_property
-    def block_svds(self) -> tuple[BlockSvd, ...]:
-        """One :class:`BlockSvd` per block of :func:`_blocks`, computed on first access."""
-        svds = []
-        for rows, cols in _blocks(self):
-            A = self.A_eq[np.ix_(rows, cols)]
-            # a square Vt holds the null space; U stays at most the block's size
-            U, s, Vt = np.linalg.svd(A, full_matrices=len(rows) < len(cols))
-            for array in (U, s, Vt):
-                array.setflags(write=False)
-            svds.append(BlockSvd(rows, cols, U, s, Vt, _rank(s, A.shape)))
-        return tuple(svds)
-
-    @functools.cached_property
     def consistency(self) -> ConsistencyReport:
         """:func:`check_consistency` of this set, computed on first access."""
         return check_consistency(self)
@@ -327,17 +316,17 @@ class EqualityConstraintSet:
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Rank diagnostics and minimum-norm solution of a constraint set.
+    """Rank diagnostics and block factorizations of a constraint set.
 
-    ``sigma_max`` is 0 for an empty set.  ``particular`` is the read-only
-    minimum-norm least-squares solution of A_eq m = b_eq, left out of ==.
+    ``sigma_max`` is 0 for an empty set.  ``blocks`` holds one
+    :class:`BlockSvd` per block of :func:`_blocks`, left out of ==.
     """
 
     rank: int
     redundant_rows: tuple[int, ...]
     infeasible: bool
     sigma_max: float
-    particular: np.ndarray = field(compare=False, repr=False)
+    blocks: tuple[BlockSvd, ...] = field(compare=False, repr=False)
 
 
 class _RowBuilder:
@@ -511,28 +500,31 @@ def _blocks(cs: EqualityConstraintSet) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def check_consistency(cs: EqualityConstraintSet) -> ConsistencyReport:
-    """Rank, redundant rows, feasibility, sigma_max and minimum-norm solution.
+    """Rank, redundant rows, feasibility, sigma_max and block factorizations.
 
-    Reads the block SVDs of ``cs.block_svds``.  Each block's b is scaled
-    exactly, by a power of 2, to max |b| in [0.5, 1); its minimum-norm
-    solution is x = V1 S1^-1 U1^T b over the block's ``rank`` leading
+    Takes one SVD per block of :func:`_blocks`, with full matrices only for
+    wide blocks, so Vt is square.  Each block's b is scaled exactly, by a
+    power of 2, to max |b| in [0.5, 1); its minimum-norm solution is
+    x = V1 a0 with a0 = S1^-1 U1^T b over the block's ``rank`` leading
     singular triplets, and its sigma_max is ||A v_1||.  A block is
     infeasible when ||A x - b|| > 1e3 max(rows, cols) eps (||b|| +
     sigma_max ||x||), so no scale of b hides a contradiction; in units of
     max(rows, cols) eps (...), feasible blocks were seen below 1 and
     contradictions above 1e8.  A pivoted QR of A^T (scipy) picks the
     redundant rows of rank-deficient blocks only.  Ranks add up, sigma_max
-    is the largest, and ``particular`` joins the blocks' x (zero on
-    untouched columns).
+    is the largest, and ``blocks`` keeps each block's :class:`BlockSvd`,
+    with a0 scaled back to the unscaled b.
     """
-    particular = np.zeros(cs.indexing.size)
-    rank, sigma_max, infeasible, redundant = 0, 0.0, False, []
+    rank, sigma_max, infeasible, redundant, blocks = 0, 0.0, False, [], []
     eps = np.finfo(float).eps
-    for rows, cols, U, s, Vt, block_rank in cs.block_svds:
+    for rows, cols in _blocks(cs):
         A, b = cs.A_eq[np.ix_(rows, cols)], cs.b_eq[rows]
+        U, s, Vt = np.linalg.svd(A, full_matrices=len(rows) < len(cols))
+        block_rank = _rank(s, A.shape)
         e = np.frexp(np.abs(b).max())[1]
         b = np.ldexp(b, -e)  # no norm below underflows or overflows
-        x = Vt[:block_rank].T @ ((U[:, :block_rank].T @ b) / s[:block_rank])
+        a0 = (U[:, :block_rank].T @ b) / s[:block_rank]
+        x = Vt[:block_rank].T @ a0
         # second order in the error of Vt[0]; s[0] itself can be off by a few ulp
         sigma = float(np.linalg.norm(A @ Vt[0]))
         bound = 1e3 * max(A.shape) * eps * (np.linalg.norm(b) + sigma * np.linalg.norm(x))
@@ -544,9 +536,13 @@ def check_consistency(cs: EqualityConstraintSet) -> ConsistencyReport:
             redundant += rows[piv[block_rank:]].tolist()
         rank += block_rank
         sigma_max = max(sigma_max, sigma)
-        particular[cols] = np.ldexp(x, e)
-    particular.setflags(write=False)
-    return ConsistencyReport(rank, tuple(sorted(redundant)), infeasible, sigma_max, particular)
+        a0 = np.ldexp(a0, e)
+        for array in (rows, cols, s, Vt, a0):
+            array.setflags(write=False)
+        blocks.append(BlockSvd(rows, cols, s, Vt, block_rank, a0))
+    return ConsistencyReport(
+        rank, tuple(sorted(redundant)), infeasible, sigma_max, tuple(blocks)
+    )
 
 
 def constraint_residual(cs: EqualityConstraintSet, markov: MarkovSequence) -> float:

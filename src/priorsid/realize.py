@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .estimate import (
     EstimateResult,
@@ -99,9 +100,9 @@ def block_hankel(markov: MarkovSequence, q: int, p: int) -> np.ndarray:
     _check_hankel_shape(q, p, markov.ell)
     n_y, n_u = markov.n_y, markov.n_u
     H = np.empty((q * n_y, p * n_u))
-    for r in range(q):
-        for c in range(p):
-            H[r * n_y : (r + 1) * n_y, c * n_u : (c + 1) * n_u] = markov.blocks[r + c + 1]
+    # window[r, :, :, c] = M_{r+c+1}
+    window = sliding_window_view(markov.blocks[1 : q + p], p, axis=0)
+    H.reshape(q, n_y, p, n_u)[...] = window.transpose(0, 1, 3, 2)
     return H
 
 

@@ -191,6 +191,18 @@ class TestSimulateCommand:
         assert code == EXIT_OK
         assert load_dataset(out, Ts=1.0).n_samples == 10
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ([], "--proto or --model-file"),
+            (["--proto", "first_order", "--gain", "2", "--tau", "10"], "--ts"),
+        ],
+    )
+    def test_missing_generator_input(self, tmp_path, capsys, flags, message):
+        code = main(["simulate", "--n", "10", "--output", str(tmp_path / "x.csv")] + flags)
+        assert code == EXIT_INPUT
+        assert message in capsys.readouterr().err
+
 
 class TestIdentifyCommand:
     def test_happy_path(self, tmp_path):
@@ -340,6 +352,19 @@ class TestIdentifyCommand:
         )
         assert code == EXIT_INPUT
         assert "must be finite" in capsys.readouterr().err
+
+    def test_fractional_channel_in_priors_file_exit_code(self, tmp_path, capsys):
+        data = make_dataset_file(tmp_path, snr=10.0)
+        priors = write_priors_file(tmp_path, [{"type": "dc_gain", "i": 1.7, "j": 1, "value": 2.0}])
+        code = main(
+            [
+                "identify", "--dataset", str(data), "--ts", "1", "--ell", "10",
+                "--priors", str(priors), "--output-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert "field 'i'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("g", [1.0, 1e6, 1e12, 1e15])
     @pytest.mark.parametrize(
@@ -662,7 +687,7 @@ class TestComputedOnce:
                   GainRatio(i=1, j=1, p=2, q=1, ratio=0.5)]
         result = identify_pipeline(data, priors, ell=8, mode="weighted")
         cs = result.constraints
-        blocks = [(len(block.rows), len(block.cols)) for block in cs.block_svds]
+        blocks = [(len(block.rows), len(block.cols)) for block in cs.consistency.blocks]
         # (8 decay rows + 1 ratio row) x 2 channels, then 9 zero rows x 1 channel
         assert blocks == [(9, 18), (9, 9)]
         # the blocks (shared by the consistency check and the solver), the
@@ -678,7 +703,8 @@ class TestComputedOnce:
         priors = [FirstOrderDecay(i=1, j=1, tau=5.0), ZeroChannel(i=2, j=2),
                   GainRatio(i=1, j=1, p=2, q=1, ratio=0.5)]
         result = identify_pipeline(data, priors, ell=8, mode="exact")
-        blocks = [(len(block.rows), len(block.cols)) for block in result.constraints.block_svds]
+        cs = result.constraints
+        blocks = [(len(block.rows), len(block.cols)) for block in cs.consistency.blocks]
         assert svd_shapes == blocks + [(result.q * 2, result.p * 2)]
 
     def test_exact_mc_compare_factors_once_per_call(self, svd_shapes):

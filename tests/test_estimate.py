@@ -288,7 +288,7 @@ class TestEqualityExact:
         priors, idx = case
         rng = np.random.default_rng(seed)
         declared = compile_quietly(priors, idx)
-        blocks = [block.rows for block in declared.block_svds]
+        blocks = [block.rows for block in declared.consistency.blocks]
         A = declared.A_eq.copy()
         A[blocks[pick % len(blocks)]] *= 10.0**k
         cs = EqualityConstraintSet(

@@ -210,6 +210,17 @@ class TestPriorParsing:
         with pytest.raises(ValueError, match="unknown keys"):
             prior_from_dict({"type": "zero_channel", "i": 1, "j": 1, "x": 0})
 
+    def test_fractional_channel_index(self):
+        # int() would truncate 1.7 to channel 1
+        with pytest.raises(ValueError, match="field 'i'"):
+            prior_from_dict({"type": "dc_gain", "i": 1.7, "j": 1, "value": 2.0})
+
+    def test_seed_must_be_a_pair(self):
+        entry = {"type": "second_order_recurrence", "i": 1, "j": 1,
+                 "alpha1": -1.5, "alpha0": 0.56, "seed": [1.0, 2.0, 3.0]}
+        with pytest.raises(ValueError, match="seed must be a"):
+            prior_from_dict(entry)
+
     def test_priors_file_forms(self, tmp_path):
         as_list = tmp_path / "a.json"
         as_list.write_text('[{"type": "zero_channel", "i": 1, "j": 1}]')

@@ -374,8 +374,7 @@ class TestCheckConsistency:
     def test_empty_set_report(self):
         report = compile_priors([], SISO3, Ts=1.0).consistency
         assert report.rank == 0 and report.sigma_max == 0.0 and not report.infeasible
-        np.testing.assert_array_equal(report.particular, np.zeros(SISO3.size))
-        assert not report.particular.flags.writeable
+        assert report.blocks == ()
 
     @pytest.mark.parametrize("g", [1.0, 1e6, 1e12, 1e15])
     def test_feasibility_does_not_depend_on_scale(self, g):
@@ -438,8 +437,12 @@ class TestBlockProperties:
         U, s, Vt = np.linalg.svd(cs.A_eq, full_matrices=False)
         r = _rank(s, cs.A_eq.shape)
         m_ref = Vt[:r].T @ ((U[:, :r].T @ cs.b_eq) / s[:r])
-        diff = np.linalg.norm(cs.consistency.particular - m_ref)
-        assert diff <= 1e-12 * np.linalg.norm(m_ref)
+        # the blocks' minimum-norm solutions, joined (zero on untouched columns)
+        m = np.zeros(cs.indexing.size)
+        for block in cs.consistency.blocks:
+            m[block.cols] = block.Vt[: block.rank].T @ block.a0
+            assert not any(a.flags.writeable for a in (block.s, block.Vt, block.a0))
+        assert np.linalg.norm(m - m_ref) <= 1e-12 * np.linalg.norm(m_ref)
 
 
 class TestConstraintResidual:

@@ -50,6 +50,14 @@ class TestBlockHankel:
         H = block_hankel(seq, 2, 2)
         np.testing.assert_array_equal(H[:2, :3], blocks[1])
         np.testing.assert_array_equal(H[2:, 3:], blocks[3])
+        for q, p in ((2, 3), (3, 2), (1, 5)):  # q != p: rows and columns not swapped
+            H = block_hankel(seq, q, p)
+            assert H.shape == (q * 2, p * 3) and H.flags.writeable
+            for r in range(q):
+                for c in range(p):
+                    np.testing.assert_array_equal(
+                        H[r * 2 : (r + 1) * 2, c * 3 : (c + 1) * 3], blocks[r + c + 1]
+                    )
 
 
 class TestKungRealize:
