@@ -461,7 +461,7 @@ def _format_summary(summary: dict[str, Any]) -> str:
 # JSON config key -> RunConfig field: the field names, but "ts" and "input"
 # for Ts and input_kind; priors are parsed apart.
 _CONFIG_KEYS = {
-    {"Ts": "ts", "input_kind": "input"}.get(f.name, f.name): f.name
+    {"Ts": "ts", "input_kind": "input"}.get(f.name, f.name): f
     for f in fields(RunConfig)
     if f.name != "priors"
 }
@@ -478,7 +478,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             if key == "priors":
                 config.priors = [fileio.prior_from_dict(entry) for entry in value]
             elif key in _CONFIG_KEYS:
-                setattr(config, _CONFIG_KEYS[key], value)
+                f = _CONFIG_KEYS[key]
+                where = f"{args.config}: config key {key!r}"
+                setattr(config, f.name, fileio._parse_field(f, value, where))
             else:
                 raise ValueError(f"{args.config}: unknown config key {key!r}")
     field_names = {f.name for f in fields(RunConfig)}
@@ -517,13 +519,7 @@ def _add_common_identify_flags(sub: argparse.ArgumentParser) -> None:
 def _add_generator_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--proto",
-        choices=(
-            "integrator",
-            "first_order",
-            "integrator_first_order",
-            "two_time_constants",
-            "second_order_osc",
-        ),
+        choices=tuple(fileio._PROTO_TYPES),
         help="prototype generator model",
     )
     sub.add_argument("--gain", type=float, help="prototype gain K")

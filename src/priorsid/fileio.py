@@ -274,13 +274,40 @@ def _integer(value) -> int:
     return number
 
 
-# field annotation of a prior class, less "| None" -> parser of a JSON value
+def _typed(kind: type):
+    def parse(value):
+        if not isinstance(value, kind):
+            raise ValueError(f"{value!r} is not a {kind.__name__}")
+        return value
+
+    return parse
+
+
+# dataclass field annotation, less "| None" -> parser of a JSON value
 _FIELD_PARSERS = {
     "int": _integer,
     "float": float,
+    "str": _typed(str),
     "tuple[float, float]": lambda value: tuple(map(float, value)),
+    "list[int]": lambda value: [_integer(v) for v in _typed(list)(value)],
     "np.ndarray": lambda value: np.asarray(value, dtype=float),
+    "dict[str, Any]": _typed(dict),
 }
+
+
+def _parse_field(f: dataclasses.Field, value, where: str):
+    """JSON ``value`` read by the annotation of field ``f``; null is None where allowed.
+
+    A value that is not of the field's type raises a ValueError that starts
+    with ``where``.
+    """
+    kind = f.type.removesuffix(" | None")
+    if value is None and kind != f.type:
+        return None
+    try:
+        return _FIELD_PARSERS[kind](value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def prior_from_dict(entry: dict) -> PriorSpec:
@@ -304,15 +331,10 @@ def prior_from_dict(entry: dict) -> PriorSpec:
         raise ValueError(f"prior {kind!r} has unknown keys {sorted(extra)}")
     values = {}
     for f in fields:
-        value = entry.get(f.name)
-        if value is None and f.default is None:
-            continue  # an optional field, left out or null
-        if f.name not in entry:
+        if f.name in entry:
+            values[f.name] = _parse_field(f, entry[f.name], f"prior {kind!r} field {f.name!r}")
+        elif f.default is dataclasses.MISSING:
             raise ValueError(f"prior {kind!r} is missing key {f.name!r}")
-        try:
-            values[f.name] = _FIELD_PARSERS[f.type.removesuffix(" | None")](value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"prior {kind!r} field {f.name!r}: {exc}") from exc
     return cls(**values)
 
 
@@ -327,30 +349,38 @@ def priors_from_file(path) -> list[PriorSpec]:
     return [prior_from_dict(entry) for entry in doc]
 
 
-_PROTO_FIELDS = {
-    "integrator": (Integrator, ("gain",)),
-    "first_order": (FirstOrder, ("gain", "tau")),
-    "integrator_first_order": (IntegratorFirstOrder, ("gain", "tau")),
-    "two_time_constants": (TwoTimeConstants, ("gain", "tau1", "tau2")),
-    "second_order_osc": (SecondOrderOsc, ("gain", "omega0", "xi")),
+_PROTO_TYPES = {
+    "integrator": Integrator,
+    "first_order": FirstOrder,
+    "integrator_first_order": IntegratorFirstOrder,
+    "two_time_constants": TwoTimeConstants,
+    "second_order_osc": SecondOrderOsc,
 }
 
 
 def prototype_from_dict(entry: dict) -> PrototypeModel:
-    """Build a prototype model from {"proto": name, <params>...}."""
+    """Build a prototype model from {"proto": name, <params>...}.
+
+    The parameters are the fields of the prototype's class, under the key
+    ``gain`` for ``K``.  A value that is not a number raises a ValueError
+    naming the prototype and the key.
+    """
     if not isinstance(entry, dict) or "proto" not in entry:
         raise ValueError(f"generator entry must be a dict with a 'proto' key, got {entry!r}")
     name = entry["proto"]
-    if name not in _PROTO_FIELDS:
+    if name not in _PROTO_TYPES:
         raise ValueError(
-            f"unknown prototype {name!r}; expected one of {sorted(_PROTO_FIELDS)}"
+            f"unknown prototype {name!r}; expected one of {sorted(_PROTO_TYPES)}"
         )
-    cls, params = _PROTO_FIELDS[name]
+    cls = _PROTO_TYPES[name]
+    params = {"gain" if f.name == "K" else f.name: f for f in dataclasses.fields(cls)}
     missing = [key for key in params if key not in entry]
     if missing:
         raise ValueError(f"prototype {name!r} is missing parameters {missing}")
     extra = set(entry) - set(params) - {"proto"}
     if extra:
         raise ValueError(f"prototype {name!r} has unknown keys {sorted(extra)}")
-    values = [float(entry[key]) for key in params]
-    return cls(*values)
+    return cls(**{
+        f.name: _parse_field(f, entry[key], f"prototype {name!r} field {key!r}")
+        for key, f in params.items()
+    })

@@ -12,9 +12,7 @@ entry (i, j) of block M_k (1-based channels, output i, input j) lives at
 
     index(k, i, j) = k * n_y * n_u + (j - 1) * n_y + (i - 1)
 
-i.e. lag-major, then input column, then output row.  Keeping the per-lag
-blocks contiguous is what lets the FIR regressors be assembled as Kronecker
-blocks.
+i.e. lag-major, then input column, then output row.
 """
 
 from __future__ import annotations
@@ -329,49 +327,29 @@ class ConsistencyReport:
     blocks: tuple[BlockSvd, ...] = field(compare=False, repr=False)
 
 
-class _RowBuilder:
-    def __init__(self):
-        self.rows: list[dict[int, float]] = []
-        self.rhs: list[float] = []
-        self.tags: list[str] = []
-
-    def add(self, entries: dict[int, float], rhs: float, tag: str) -> None:
-        self.rows.append(entries)
-        self.rhs.append(float(rhs))
-        self.tags.append(tag)
+_RECURRENCES = (FirstOrderDecay, IntegratorChannel, SecondOrderRecurrence)
 
 
 def _recurrence_rows(
-    out: _RowBuilder,
-    indexing: MarkovIndexing,
-    prior: FirstOrderDecay | IntegratorChannel | SecondOrderRecurrence,
-    coeffs: tuple[float, ...],
-    seeds: tuple[float, ...],
-    tag: str,
-) -> None:
-    """Rows of one recurrence prior, by the shared rule of :func:`compile_priors`."""
-    indexing.check_channel(prior.i, prior.j)
-    ell = indexing.ell
-
-    def at(k: int) -> int:
-        return indexing.index(k, prior.i, prior.j)
-
-    first = len(out.rows)
-    out.add({at(0): 1.0}, 0.0, tag)
-    for k in range(len(coeffs) + 1, ell + 1):
-        entries = {at(k): 1.0}
-        for r, coeff in enumerate(coeffs, start=1):
-            entries[at(k - r)] = coeff
-        out.add(entries, 0.0, tag)
-    for k, value in enumerate(seeds[:ell], start=1):
-        out.add({at(k): 1.0}, value, tag)
-    if len(out.rows) == first + 1:
-        warnings.warn(
-            f"{tag}: horizon ell={ell} yields no recurrence or seed rows; only "
-            "M_0 = 0 was emitted",
-            ConstraintCompileWarning,
-            stacklevel=3,
-        )
+    prior: FirstOrderDecay | IntegratorChannel | SecondOrderRecurrence, ell: int, Ts: float
+) -> tuple[np.ndarray, list[float]]:
+    """Lag rows and rhs of one recurrence prior, by the shared rule of :func:`compile_priors`."""
+    if isinstance(prior, FirstOrderDecay):
+        a = math.exp(-Ts / prior.tau)
+        coeffs, seeds = (-a,), () if prior.gain is None else (prior.gain * (1.0 - a),)
+    elif isinstance(prior, IntegratorChannel):
+        coeffs, seeds = (-1.0,), () if prior.gain is None else (prior.gain * Ts,)
+    else:
+        coeffs, seeds = (prior.alpha1, prior.alpha0), ()
+        if prior.seed is not None:
+            beta1, beta0 = prior.seed
+            seeds = (beta1, beta0 - prior.alpha1 * beta1)
+    r, seeds, eye = len(coeffs), seeds[:ell], np.eye(ell + 1)
+    band = eye[r + 1 :] + sum(
+        c * np.eye(ell + 1, k=-s)[r + 1 :] for s, c in enumerate(coeffs, start=1)
+    )
+    rows = np.vstack([eye[:1], band, eye[1 : len(seeds) + 1]])
+    return rows, [0.0] * (1 + len(band)) + list(seeds)
 
 
 def compile_priors(
@@ -399,75 +377,69 @@ def compile_priors(
         M_2 = beta0 - alpha1 beta1.
     * ``ZeroChannel``: M_k(i,j) = 0 for every lag (ell + 1 rows).
 
-    A recurrence prior that compiles to the lone M_0 row (its horizon is
-    too short for any recurrence row, and no seed row fits or none was
-    given) triggers a :class:`ConstraintCompileWarning`.  A row that
-    cancels to zero, as in ``GainRatio(i, j, i, j, 1.0)``, raises a
-    ``ValueError`` naming its prior.
+    Each prior's rows are dense over the lags of its channels and are added
+    to A_eq through its ``(rows, ell + 1, n_u, n_y)`` view.  A recurrence
+    prior that compiles to the lone M_0 row (its horizon is too short for
+    any recurrence row, and no seed row fits or none was given) triggers a
+    :class:`ConstraintCompileWarning`.  A row that cancels to zero, as in
+    ``GainRatio(i, j, i, j, 1.0)``, raises a ``ValueError`` naming its prior.
     """
     if not (math.isfinite(Ts) and Ts > 0):
         raise ValueError(f"Ts must be a positive real, got {Ts}")
     ell, n_y, n_u = indexing.ell, indexing.n_y, indexing.n_u
-    out = _RowBuilder()
-
+    ones = np.ones((1, ell + 1))
+    parts = []  # (tag, [(i, j, lag rows added to channel (i, j))], rhs)
     for prior in priors:
         tag = repr(prior)
         if isinstance(prior, DcGain):
-            indexing.check_channel(prior.i, prior.j)
-            entries = {indexing.index(k, prior.i, prior.j): 1.0 for k in range(ell + 1)}
-            out.add(entries, prior.value, tag)
+            parts.append((tag, [(prior.i, prior.j, ones)], [prior.value]))
         elif isinstance(prior, DcGainMatrix):
             if prior.matrix.shape != (n_y, n_u):
                 raise ValueError(
                     f"DC-gain matrix has shape {prior.matrix.shape}, "
                     f"expected ({n_y}, {n_u})"
                 )
-            for j in range(1, n_u + 1):
-                for i in range(1, n_y + 1):
-                    entries = {indexing.index(k, i, j): 1.0 for k in range(ell + 1)}
-                    out.add(entries, prior.matrix[i - 1, j - 1], tag)
+            parts += [
+                (tag, [(i, j, ones)], [prior.matrix[i - 1, j - 1]])
+                for j in range(1, n_u + 1)
+                for i in range(1, n_y + 1)
+            ]
         elif isinstance(prior, GainRatio):
-            indexing.check_channel(prior.i, prior.j)
-            indexing.check_channel(prior.p, prior.q)
-            entries: dict[int, float] = {}
-            for k in range(ell + 1):
-                entries[indexing.index(k, prior.i, prior.j)] = 1.0
-            for k in range(ell + 1):
-                idx = indexing.index(k, prior.p, prior.q)
-                entries[idx] = entries.get(idx, 0.0) - prior.ratio
-            out.add(entries, 0.0, tag)
-        elif isinstance(prior, FirstOrderDecay):
-            a = math.exp(-Ts / prior.tau)
-            seeds = () if prior.gain is None else (prior.gain * (1.0 - a),)
-            _recurrence_rows(out, indexing, prior, (-a,), seeds, tag)
-        elif isinstance(prior, IntegratorChannel):
-            seeds = () if prior.gain is None else (prior.gain * Ts,)
-            _recurrence_rows(out, indexing, prior, (-1.0,), seeds, tag)
-        elif isinstance(prior, SecondOrderRecurrence):
-            seeds = ()
-            if prior.seed is not None:
-                beta1, beta0 = prior.seed
-                seeds = (beta1, beta0 - prior.alpha1 * beta1)
-            _recurrence_rows(out, indexing, prior, (prior.alpha1, prior.alpha0), seeds, tag)
+            terms = [(prior.i, prior.j, ones), (prior.p, prior.q, -prior.ratio * ones)]
+            parts.append((tag, terms, [0.0]))
+        elif isinstance(prior, _RECURRENCES):
+            block, rhs = _recurrence_rows(prior, ell, Ts)
+            parts.append((tag, [(prior.i, prior.j, block)], rhs))
         elif isinstance(prior, ZeroChannel):
-            indexing.check_channel(prior.i, prior.j)
-            for k in range(ell + 1):
-                out.add({indexing.index(k, prior.i, prior.j): 1.0}, 0.0, tag)
+            parts.append((tag, [(prior.i, prior.j, np.eye(ell + 1))], [0.0] * (ell + 1)))
         else:
             raise TypeError(f"unknown prior specification {type(prior).__name__}")
+        _, terms, rhs = parts[-1]
+        for i, j, _ in terms:
+            indexing.check_channel(i, j)
+        if isinstance(prior, _RECURRENCES) and len(rhs) == 1:
+            warnings.warn(
+                f"{tag}: horizon ell={ell} yields no recurrence or seed rows; only "
+                "M_0 = 0 was emitted",
+                ConstraintCompileWarning,
+                stacklevel=2,
+            )
 
-    A_eq = np.zeros((len(out.rows), indexing.size))
-    for r, entries in enumerate(out.rows):
-        for idx, coeff in entries.items():
-            A_eq[r, idx] += coeff
-        if not A_eq[r].any():
-            raise ValueError(f"{out.tags[r]} compiles to an all-zero constraint row")
+    n_rows = sum(len(rhs) for _, _, rhs in parts)
+    A_eq, b_eq, tags = np.zeros((n_rows, indexing.size)), np.empty(n_rows), []
+    lags = A_eq.reshape(n_rows, ell + 1, n_u, n_y)  # lags[r, k, j - 1, i - 1] is M_k(i, j)
+    for tag, terms, rhs in parts:
+        rows = slice(len(tags), len(tags) + len(rhs))
+        for i, j, block in terms:
+            lags[rows, :, j - 1, i - 1] += block
+        b_eq[rows] = rhs
+        tags += [tag] * len(rhs)
+    del parts  # A_eq is then the one large array held
+    zero = ~A_eq.any(axis=1)
+    if zero.any():
+        raise ValueError(f"{tags[zero.argmax()]} compiles to an all-zero constraint row")
     return EqualityConstraintSet(
-        A_eq=A_eq,
-        b_eq=np.asarray(out.rhs, dtype=float),
-        indexing=indexing,
-        provenance=tuple(out.tags),
-        copy=False,
+        A_eq=A_eq, b_eq=b_eq, indexing=indexing, provenance=tuple(tags), copy=False
     )
 
 
@@ -479,19 +451,18 @@ def _rank(s: np.ndarray, shape: tuple[int, ...]) -> int:
 def _blocks(cs: EqualityConstraintSet) -> list[tuple[np.ndarray, np.ndarray]]:
     """Row and column indices of the diagonal blocks of A_eq, by lowest channel.
 
-    Column c holds channel c % (n_y * n_u).  Channels joined by a chain of
+    Column c holds channel c % (n_y * n_u), so a row's channels are read
+    from its (ell + 1, n_y * n_u) view.  Channels joined by a chain of
     rows share a block, whose columns are all lags of its channels; each
     row has a nonzero, so it lies in one block.
     """
     n_ch = cs.indexing.n_y * cs.indexing.n_u
-    rows, cols = np.nonzero(cs.A_eq)
-    touches = np.zeros((cs.n_rows, n_ch), dtype=bool)
-    touches[rows, cols % n_ch] = True
+    touches = cs.A_eq.reshape(cs.n_rows, cs.indexing.ell + 1, n_ch).any(axis=1)
     joined = (touches.T.astype(int) @ touches > 0) | np.eye(n_ch, dtype=bool)
     for _ in range(n_ch.bit_length()):  # each squaring doubles the chain length covered
         joined = joined.astype(int) @ joined > 0
     label = joined.argmax(axis=1)  # lowest channel of each block
-    row_label = label[cols[np.searchsorted(rows, np.arange(cs.n_rows))] % n_ch]
+    row_label = label[touches.argmax(axis=1)]
     col_label = label[np.arange(cs.indexing.size) % n_ch]
     return [
         (np.flatnonzero(row_label == lab), np.flatnonzero(col_label == lab))

@@ -1,5 +1,7 @@
 """Shared generators and oracles for the test suite."""
 
+import functools
+import math
 import warnings
 
 import numpy as np
@@ -9,6 +11,8 @@ from scipy.optimize import linear_sum_assignment
 from priorsid import (
     ConstraintCompileWarning,
     DcGain,
+    DcGainMatrix,
+    EqualityConstraintSet,
     FirRegression,
     FirstOrder,
     FirstOrderDecay,
@@ -155,6 +159,112 @@ def stacked_weighted_lstsq(Phi, y, A, b, weight):
     return m, stacked, rhs, int(rank), s
 
 
+def dict_compile_priors(priors, indexing, Ts):
+    """Oracle compile: one ``{index: coeff}`` dict per row, summed into A_eq entry by entry.
+
+    Each row names its Markov entries through ``indexing.index``, by the
+    rules of the ``compile_priors`` docstring; the lag-view compile must
+    match it bit for bit, warnings and errors included.
+    """
+    ell, n_y, n_u = indexing.ell, indexing.n_y, indexing.n_u
+    rows, rhs, tags = [], [], []
+
+    def add(entries, value, tag):
+        rows.append(entries)
+        rhs.append(float(value))
+        tags.append(tag)
+
+    def recurrence(prior, coeffs, seeds, tag):
+        indexing.check_channel(prior.i, prior.j)
+        at = functools.partial(indexing.index, i=prior.i, j=prior.j)
+        first = len(rows)
+        add({at(0): 1.0}, 0.0, tag)
+        for k in range(len(coeffs) + 1, ell + 1):
+            entries = {at(k): 1.0}
+            for r, coeff in enumerate(coeffs, start=1):
+                entries[at(k - r)] = coeff
+            add(entries, 0.0, tag)
+        for k, value in enumerate(seeds[:ell], start=1):
+            add({at(k): 1.0}, value, tag)
+        if len(rows) == first + 1:
+            warnings.warn(
+                f"{tag}: horizon ell={ell} yields no recurrence or seed rows; only "
+                "M_0 = 0 was emitted",
+                ConstraintCompileWarning,
+            )
+
+    for prior in priors:
+        tag = repr(prior)
+        if isinstance(prior, DcGain):
+            indexing.check_channel(prior.i, prior.j)
+            add({indexing.index(k, prior.i, prior.j): 1.0 for k in range(ell + 1)},
+                prior.value, tag)
+        elif isinstance(prior, DcGainMatrix):
+            if prior.matrix.shape != (n_y, n_u):
+                raise ValueError(
+                    f"DC-gain matrix has shape {prior.matrix.shape}, expected ({n_y}, {n_u})"
+                )
+            for j in range(1, n_u + 1):
+                for i in range(1, n_y + 1):
+                    add({indexing.index(k, i, j): 1.0 for k in range(ell + 1)},
+                        prior.matrix[i - 1, j - 1], tag)
+        elif isinstance(prior, GainRatio):
+            indexing.check_channel(prior.i, prior.j)
+            indexing.check_channel(prior.p, prior.q)
+            entries = {indexing.index(k, prior.i, prior.j): 1.0 for k in range(ell + 1)}
+            for k in range(ell + 1):
+                idx = indexing.index(k, prior.p, prior.q)
+                entries[idx] = entries.get(idx, 0.0) - prior.ratio
+            add(entries, 0.0, tag)
+        elif isinstance(prior, FirstOrderDecay):
+            a = math.exp(-Ts / prior.tau)
+            seeds = () if prior.gain is None else (prior.gain * (1.0 - a),)
+            recurrence(prior, (-a,), seeds, tag)
+        elif isinstance(prior, IntegratorChannel):
+            recurrence(prior, (-1.0,), () if prior.gain is None else (prior.gain * Ts,), tag)
+        elif isinstance(prior, SecondOrderRecurrence):
+            seeds = ()
+            if prior.seed is not None:
+                beta1, beta0 = prior.seed
+                seeds = (beta1, beta0 - prior.alpha1 * beta1)
+            recurrence(prior, (prior.alpha1, prior.alpha0), seeds, tag)
+        elif isinstance(prior, ZeroChannel):
+            indexing.check_channel(prior.i, prior.j)
+            for k in range(ell + 1):
+                add({indexing.index(k, prior.i, prior.j): 1.0}, 0.0, tag)
+        else:
+            raise TypeError(f"unknown prior specification {type(prior).__name__}")
+
+    A_eq = np.zeros((len(rows), indexing.size))
+    for r, entries in enumerate(rows):
+        for idx, coeff in entries.items():
+            A_eq[r, idx] += coeff
+        if not A_eq[r].any():
+            raise ValueError(f"{tags[r]} compiles to an all-zero constraint row")
+    return EqualityConstraintSet(
+        A_eq=A_eq, b_eq=np.asarray(rhs, dtype=float), indexing=indexing, provenance=tags
+    )
+
+
+def nonzero_blocks(cs):
+    """Oracle block finder: channel incidence from ``np.nonzero`` over all of A_eq."""
+    n_ch = cs.indexing.n_y * cs.indexing.n_u
+    rows, cols = np.nonzero(cs.A_eq)
+    touches = np.zeros((cs.n_rows, n_ch), dtype=bool)
+    touches[rows, cols % n_ch] = True
+    joined = (touches.T.astype(int) @ touches > 0) | np.eye(n_ch, dtype=bool)
+    for _ in range(n_ch.bit_length()):
+        joined = joined.astype(int) @ joined > 0
+    label = joined.argmax(axis=1)
+    # each row's first nonzero column names its channel
+    row_label = label[cols[np.searchsorted(rows, np.arange(cs.n_rows))] % n_ch]
+    col_label = label[np.arange(cs.indexing.size) % n_ch]
+    return [
+        (np.flatnonzero(row_label == lab), np.flatnonzero(col_label == lab))
+        for lab in np.unique(row_label)
+    ]
+
+
 def compile_quietly(priors, indexing):
     """compile_priors at Ts=1 with its short-horizon warnings silenced."""
     with warnings.catch_warnings():
@@ -163,16 +273,19 @@ def compile_quietly(priors, indexing):
 
 
 @st.composite
-def prior_sets(draw, coupled=False):
+def prior_sets(draw, coupled=False, every_kind=False):
     """A random (priors, indexing) pair on up to 3x3 channels and 12 lags.
 
     Values lie in [-10, 10] and ratios in +-[0.1, 10], so sets may be
     feasible or not.  ``coupled`` appends a ``GainRatio`` that joins two
-    distinct channels.
+    distinct channels.  ``every_kind`` also draws ``ell = 0``, a
+    ``DcGainMatrix`` and a ``GainRatio`` of a channel to itself, whose ratio
+    is often 1 so that its row cancels to zero.
     """
     n_y = draw(st.integers(1, 3))
     n_u = draw(st.integers(2 if coupled and n_y == 1 else 1, 3))
-    indexing = MarkovIndexing(n_y=n_y, n_u=n_u, ell=draw(st.integers(1, 12)))
+    ell = draw(st.integers(0 if every_kind else 1, 12))
+    indexing = MarkovIndexing(n_y=n_y, n_u=n_u, ell=ell)
     channel = st.tuples(st.integers(1, n_y), st.integers(1, n_u))
     value = st.floats(-10.0, 10.0)
     gain = st.none() | value
@@ -200,6 +313,14 @@ def prior_sets(draw, coupled=False):
         st.builds(lambda c: ZeroChannel(*c), channel),
         ratio,
     )
+    if every_kind:
+        matrix = st.lists(value, min_size=n_y * n_u, max_size=n_y * n_u).map(
+            lambda v: DcGainMatrix(matrix=np.reshape(v, (n_y, n_u)))
+        )
+        self_ratio = st.builds(
+            lambda c, r: GainRatio(*c, *c, ratio=r), channel, st.just(1.0) | st.floats(0.1, 10.0)
+        )
+        prior = prior | matrix | self_ratio
     priors = draw(st.lists(prior, min_size=1, max_size=6))
     if coupled:
         priors.append(draw(ratio))

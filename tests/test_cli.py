@@ -398,6 +398,37 @@ class TestIdentifyCommand:
         code = main(["identify", "--config", str(config_path)])
         assert code == EXIT_INPUT
 
+    def _identify_with_config(self, tmp_path, name, **values):
+        config = {"dataset": str(make_dataset_file(tmp_path, snr=10.0)), "ts": 1.0,
+                  "output_dir": str(tmp_path / name), **values}
+        config_path = tmp_path / f"{name}.json"
+        config_path.write_text(json.dumps(config))
+        return main(["identify", "--config", str(config_path)])
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("order", 2.7, "config key 'order': 2.7 is not an integer"),
+            ("ell", "ten", "config key 'ell'"),
+            ("order_tol", "tight", "config key 'order_tol'"),
+            ("mode", 5, "config key 'mode': 5 is not a str"),
+            ("delays", [0.5], "config key 'delays'"),
+        ],
+    )
+    def test_config_value_of_wrong_type_exit_code(self, tmp_path, capsys, key, value, message):
+        code = self._identify_with_config(tmp_path, "out", **{"ell": 10, key: value})
+        assert code == EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_values_read_by_field_type(self, tmp_path):
+        # an integral float is an int, and a number may be written as a string
+        assert self._identify_with_config(tmp_path, "a", ell=30.0, order_tol="1e-3") == EXIT_OK
+        assert self._identify_with_config(tmp_path, "b", ell=30, order_tol=1e-3) == EXIT_OK
+        assert (tmp_path / "a" / "report.txt").read_bytes() == (
+            tmp_path / "b" / "report.txt"
+        ).read_bytes()
+
 
 def _random_prior_entries():
     """Prior-file entries on 2x2 channels, with out-of-range channels, non-finite

@@ -245,3 +245,10 @@ class TestPrototypeParsing:
     def test_extra_key(self):
         with pytest.raises(ValueError, match="unknown keys"):
             prototype_from_dict({"proto": "integrator", "gain": 1.0, "tau": 2.0})
+
+    @pytest.mark.parametrize("key", ["gain", "tau"])
+    @pytest.mark.parametrize("bad", [None, [1, 2]])
+    def test_value_of_wrong_type_names_field(self, key, bad):
+        entry = {"proto": "first_order", "gain": 2.0, "tau": 1.0, key: bad}
+        with pytest.raises(ValueError, match=f"prototype 'first_order' field '{key}'"):
+            prototype_from_dict(entry)

@@ -35,7 +35,13 @@ from priorsid import (
     zoh_second_order,
 )
 from priorsid.priors import _blocks, _rank
-from helpers import compile_quietly, prior_sets, random_prototype
+from helpers import (
+    compile_quietly,
+    dict_compile_priors,
+    nonzero_blocks,
+    prior_sets,
+    random_prototype,
+)
 
 SISO3 = MarkovIndexing(n_y=1, n_u=1, ell=3)
 
@@ -293,6 +299,32 @@ class TestCompile:
     def test_channel_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             compile_priors([DcGain(i=2, j=1, value=1.0)], SISO3, Ts=1.0)
+
+    def test_errors_in_declaration_order(self):
+        late_shape = [DcGainMatrix(matrix=np.ones((2, 1)))]
+        with pytest.raises(ValueError, match="output channel i=2 out of range"):
+            compile_priors([ZeroChannel(i=2, j=1)] + late_shape, SISO3, Ts=1.0)
+        with pytest.raises(ValueError, match="DC-gain matrix has shape"):
+            compile_priors(late_shape + [ZeroChannel(i=2, j=1)], SISO3, Ts=1.0)
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=prior_sets(every_kind=True), Ts=st.floats(0.1, 5.0))
+    def test_matches_dict_oracle(self, case, Ts):
+        # A_eq, b_eq, provenance, warnings and blocks equal the row-by-row
+        # compile and the np.nonzero block finder bit for bit; so do errors
+        priors, idx = case
+        results = []
+        for compile_, blocks in ((compile_priors, _blocks), (dict_compile_priors, nonzero_blocks)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    cs = compile_(priors, idx, Ts)
+                    out = (cs.A_eq.tobytes(), cs.b_eq.tobytes(), cs.provenance,
+                           [(r.tolist(), c.tolist()) for r, c in blocks(cs)])
+                except ValueError as exc:
+                    out = str(exc)
+            results.append((out, [str(w.message) for w in caught]))
+        assert results[0] == results[1]
 
     def test_empty_priors(self):
         cs = compile_priors([], SISO3, Ts=1.0)
