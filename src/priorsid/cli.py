@@ -146,7 +146,9 @@ def generate_input(kind: str, n_samples: int, n_u: int, rng: np.random.Generator
 def _add_output_noise(
     Y: np.ndarray, snr_db: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """White Gaussian noise scaled per channel to the requested SNR (dB)."""
+    """White Gaussian noise scaled per channel to the requested SNR (dB); +inf adds none."""
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
     power = np.mean(Y**2, axis=0)
     for channel, p in enumerate(power, start=1):
         if p <= 0.0:
@@ -206,6 +208,8 @@ def run_simulate(
     output: str,
 ) -> str:
     """Simulate a model over a generated input and write the dataset CSV."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     U = generate_input(input_kind, n_samples, model.n_u, rng)
     data = _simulate_noisy(model, U, snr_db, rng)
@@ -330,6 +334,8 @@ def mc_compare(config: RunConfig) -> tuple[list[dict[str, float]], dict[str, Any
     both.  Returns the per-run records and a summary (medians, IQRs, win
     rate).  Two errors closer than ``MC_TIE_TOL`` count as a tie.
     """
+    if config.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {config.seed}")
     if config.mc_runs < 2:
         raise ValueError(f"mc_runs must be >= 2, got {config.mc_runs}")
     if config.ell is None:
@@ -466,9 +472,43 @@ _CONFIG_KEYS = {
     if f.name != "priors"
 }
 
+# JSON config key -> (flag, help), in the flag sets that subcommands share.
+# A flag sets its key's field (dest) from its text, read as the same key
+# given as a JSON string would be.
+_IDENTIFY_FLAGS = {  # identify and mc-compare
+    "dataset": ("--dataset", "input dataset CSV"),
+    "ts": ("--ts", "sampling period in seconds"),
+    "ell": ("--ell", "Markov horizon (lags 0..ell)"),
+    "q": ("--q", "Hankel block rows"),
+    "p": ("--p", "Hankel block columns"),
+    "mode": ("--mode", "estimation mode"),
+    "weight": ("--weight", "weighting factor for weighted mode"),
+    "delays": ("--delays", "comma-separated per-input sample delays"),
+    "order": ("--order", "fixed model order (default: automatic)"),
+    "order_tol": ("--order-tol", "relative singular-value cutoff for automatic order selection"),
+    "output_dir": ("--output-dir", "directory for report files"),
+}
+_GENERATOR_FLAGS = {  # simulate and mc-compare, next to --proto and its parameters
+    "model_file": ("--model-file", "state-space model file"),
+    "input": ("--input", "test input signal"),
+    "n_samples": ("--n", "number of samples (per run)"),
+    "snr_db": ("--snr-db", "output SNR in dB"),
+    "seed": ("--seed", "seed of the input and noise (master seed in mc-compare)"),
+}
+_FLAGS = {**_IDENTIFY_FLAGS, **_GENERATOR_FLAGS, "mc_runs": ("--mc-runs", "number of runs")}
+_CHOICES = {"mode": MODES, "input": INPUT_KINDS}
+
+# prototype parameter key -> the prototypes that take it
+_PROTO_TAKERS = {
+    key: [name for name, cls in fileio._PROTO_TYPES.items() if key in fileio._proto_params(cls)]
+    for cls in fileio._PROTO_TYPES.values()
+    for key in fileio._proto_params(cls)
+}
+
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
+    given = []  # (key, value, where to blame); flags come last, so they win
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -478,85 +518,44 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             if key == "priors":
                 config.priors = [fileio.prior_from_dict(entry) for entry in value]
             elif key in _CONFIG_KEYS:
-                f = _CONFIG_KEYS[key]
-                where = f"{args.config}: config key {key!r}"
-                setattr(config, f.name, fileio._parse_field(f, value, where))
+                given.append((key, value, f"{args.config}: config key {key!r}"))
             else:
                 raise ValueError(f"{args.config}: unknown config key {key!r}")
-    field_names = {f.name for f in fields(RunConfig)}
-    for attr in field_names:
-        value = getattr(args, attr, None)
-        if value is not None:
-            setattr(config, attr, value)
+    for key, (flag, _) in _FLAGS.items():
+        text = getattr(args, _CONFIG_KEYS[key].name, None)
+        if text is not None:
+            value = [part for part in text.split(",") if part] if key == "delays" else text
+            given.append((key, value, f"flag {flag}"))
+    for key, value, where in given:
+        f = _CONFIG_KEYS[key]
+        setattr(config, f.name, fileio._parse_field(f, value, where))
+    if getattr(args, "proto", None) is not None:
+        config.generator = {"proto": args.proto} | {
+            key: getattr(args, key) for key in _PROTO_TAKERS if getattr(args, key) is not None
+        }
     if getattr(args, "priors_file", None):
         config.priors = fileio.priors_from_file(args.priors_file)
-    if getattr(args, "delays_csv", None):
-        config.delays = [int(part) for part in args.delays_csv.split(",") if part != ""]
     return config
 
 
-def _add_common_identify_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--dataset", help="input dataset CSV")
-    sub.add_argument("--ts", dest="Ts", type=float, help="sampling period in seconds")
-    sub.add_argument("--ell", type=int, help="Markov horizon (lags 0..ell)")
-    sub.add_argument("--q", type=int, help="Hankel block rows")
-    sub.add_argument("--p", type=int, help="Hankel block columns")
-    sub.add_argument("--mode", choices=MODES, help="estimation mode")
-    sub.add_argument("--weight", type=float, help="weighting factor for weighted mode")
-    sub.add_argument("--priors", dest="priors_file", help="JSON file with prior entries")
-    sub.add_argument(
-        "--delays", dest="delays_csv", help="comma-separated per-input sample delays"
-    )
-    sub.add_argument("--order", type=int, help="fixed model order (default: automatic)")
-    sub.add_argument(
-        "--order-tol", dest="order_tol", type=float,
-        help="relative singular-value cutoff for automatic order selection",
-    )
-    sub.add_argument("--output-dir", dest="output_dir", help="directory for report files")
-
-
-def _add_generator_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--proto",
-        choices=tuple(fileio._PROTO_TYPES),
-        help="prototype generator model",
-    )
-    sub.add_argument("--gain", type=float, help="prototype gain K")
-    sub.add_argument("--tau", type=float, help="time constant (first-order prototypes)")
-    sub.add_argument("--tau1", type=float, help="first time constant")
-    sub.add_argument("--tau2", type=float, help="second time constant")
-    sub.add_argument("--omega0", type=float, help="natural frequency (rad/s)")
-    sub.add_argument("--xi", type=float, help="damping ratio in (0, 1)")
-    sub.add_argument("--model-file", dest="model_file", help="state-space model file")
-
-
-def _prototype_dict_from_args(args: argparse.Namespace) -> dict[str, Any] | None:
-    if args.proto is None:
-        return None
-    entry: dict[str, Any] = {"proto": args.proto}
-    for key in ("gain", "tau", "tau1", "tau2", "omega0", "xi"):
-        value = getattr(args, key, None)
-        if value is not None:
-            entry[key] = value
-    return entry
+def _add_flags(sub: argparse.ArgumentParser, *keys: str) -> None:
+    for key in keys:
+        flag, text = _FLAGS[key]
+        sub.add_argument(flag, dest=_CONFIG_KEYS[key].name, choices=_CHOICES.get(key), help=text)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    model = _generator_model(
-        RunConfig(Ts=args.Ts, generator=_prototype_dict_from_args(args), model_file=args.model_file)
-    )
+    config = _config_from_args(args)
     path = run_simulate(
-        model, args.input, args.n, args.snr_db, args.seed, args.output
+        _generator_model(config), config.input_kind, config.n_samples, config.snr_db,
+        config.seed, args.output,
     )
     print(f"wrote {path}")
     return EXIT_OK
 
 
 def _cmd_identify(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    paths = run_identify(config)
-    for kind, path in paths.items():
+    for kind, path in run_identify(_config_from_args(args)).items():
         print(f"wrote {kind}: {path}")
     return EXIT_OK
 
@@ -576,11 +575,7 @@ def _cmd_compile_priors(args: argparse.Namespace) -> int:
 
 
 def _cmd_mc_compare(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    proto_entry = _prototype_dict_from_args(args)
-    if proto_entry is not None:
-        config.generator = proto_entry
-    run_mc_compare(config)
+    run_mc_compare(_config_from_args(args))
     return EXIT_OK
 
 
@@ -595,22 +590,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="generate a synthetic dataset CSV")
-    _add_generator_flags(sim)
-    sim.add_argument("--input", choices=INPUT_KINDS, default="white")
-    sim.add_argument("--n", type=int, default=200, help="number of samples")
-    sim.add_argument("--ts", dest="Ts", type=float, help="sampling period in seconds")
-    sim.add_argument("--snr-db", dest="snr_db", type=float, help="output SNR in dB")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--output", required=True, help="dataset CSV to write")
     sim.set_defaults(func=_cmd_simulate)
-
     ident = sub.add_parser("identify", help="estimate and realize from a dataset")
-    _add_common_identify_flags(ident)
     ident.set_defaults(func=_cmd_identify)
-
-    comp = sub.add_parser(
-        "compile-priors", help="dump the compiled A_eq/b_eq rows as CSV"
-    )
+    comp = sub.add_parser("compile-priors", help="dump the compiled A_eq/b_eq rows as CSV")
     comp.add_argument("--priors", dest="priors_file", required=True)
     comp.add_argument("--ny", type=int, required=True, help="number of outputs")
     comp.add_argument("--nu", type=int, required=True, help="number of inputs")
@@ -618,19 +601,23 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--ts", dest="Ts", type=float, required=True)
     comp.add_argument("--output", required=True, help="constraints CSV to write")
     comp.set_defaults(func=_cmd_compile_priors)
-
-    mc = sub.add_parser(
-        "mc-compare", help="Monte Carlo comparison with vs without priors"
-    )
-    _add_common_identify_flags(mc)
-    _add_generator_flags(mc)
-    mc.add_argument("--input", dest="input_kind", choices=INPUT_KINDS)
-    mc.add_argument("--n", dest="n_samples", type=int, help="samples per run")
-    mc.add_argument("--snr-db", dest="snr_db", type=float, help="output SNR in dB")
-    mc.add_argument("--seed", type=int, help="master seed")
-    mc.add_argument("--mc-runs", dest="mc_runs", type=int, help="number of runs")
+    mc = sub.add_parser("mc-compare", help="Monte Carlo comparison with vs without priors")
     mc.set_defaults(func=_cmd_mc_compare)
 
+    for cmd in (ident, mc):
+        cmd.add_argument("--config", help="JSON config file; flags override its values")
+        cmd.add_argument("--priors", dest="priors_file", help="JSON file with prior entries")
+        _add_flags(cmd, *_IDENTIFY_FLAGS)
+    for cmd in (sim, mc):
+        cmd.add_argument(
+            "--proto", choices=tuple(fileio._PROTO_TYPES), help="prototype generator model"
+        )
+        for key, names in _PROTO_TAKERS.items():
+            cmd.add_argument(f"--{key}", help=f"prototype parameter of {', '.join(names)}")
+        _add_flags(cmd, *_GENERATOR_FLAGS)
+    _add_flags(sim, "ts")
+    sim.add_argument("--output", required=True, help="dataset CSV to write")
+    _add_flags(mc, "mc_runs")
     return parser
 
 

@@ -358,6 +358,11 @@ _PROTO_TYPES = {
 }
 
 
+def _proto_params(cls: type) -> dict[str, dataclasses.Field]:
+    """Parameter key -> field of a prototype class: the field names, but ``gain`` for ``K``."""
+    return {"gain" if f.name == "K" else f.name: f for f in dataclasses.fields(cls)}
+
+
 def prototype_from_dict(entry: dict) -> PrototypeModel:
     """Build a prototype model from {"proto": name, <params>...}.
 
@@ -373,7 +378,7 @@ def prototype_from_dict(entry: dict) -> PrototypeModel:
             f"unknown prototype {name!r}; expected one of {sorted(_PROTO_TYPES)}"
         )
     cls = _PROTO_TYPES[name]
-    params = {"gain" if f.name == "K" else f.name: f for f in dataclasses.fields(cls)}
+    params = _proto_params(cls)
     missing = [key for key in params if key not in entry]
     if missing:
         raise ValueError(f"prototype {name!r} is missing parameters {missing}")

@@ -90,9 +90,12 @@ def _check_hankel_shape(q: int, p: int, ell: int) -> None:
 
 
 def default_hankel_shape(ell: int) -> tuple[int, int]:
-    """Default square-ish Hankel blocks: q = p = floor((ell + 1) / 2)."""
-    q = (ell + 1) // 2
-    return q, q
+    """Square-ish Hankel blocks q = max(2, h), p = max(1, h), h = floor((ell + 1) / 2).
+
+    q >= 2 keeps the shift equation nonempty; below ell = 2 nothing fits.
+    """
+    half = (ell + 1) // 2
+    return max(2, half), max(1, half)
 
 
 def block_hankel(markov: MarkovSequence, q: int, p: int) -> np.ndarray:
@@ -127,7 +130,7 @@ def kung_realize(
         p: Hankel block columns.
         order: fixed model order, or None to choose the smallest n with
             sigma_{n+1} <= tol * sigma_1.
-        tol: relative singular-value cutoff for the automatic order rule.
+        tol: relative singular-value cutoff for the automatic order rule, in [0, 1).
 
     Returns:
         RealizationResult; ``reconstruction_error`` is the Frobenius norm of
@@ -135,6 +138,8 @@ def kung_realize(
     """
     if q < 2:
         raise ValueError(f"q must be at least 2 for the shift equation, got {q}")
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"tol must be in [0, 1), got {tol}")
     H = block_hankel(markov, q, p)
     n_y, n_u = markov.n_y, markov.n_u
     U, s, Vt = np.linalg.svd(H, full_matrices=False)
@@ -186,7 +191,7 @@ def identify_pipeline(
         ell: Markov horizon; the FIR model truncates the impulse response
             here, so choose ell * Ts comfortably past the dominant settling
             time (ell * Ts >= 5 tau_dominant is a reasonable rule of thumb).
-        q, p: Hankel block shape; default q = p = floor((ell + 1) / 2).
+        q, p: Hankel block shape; default :func:`default_hankel_shape`.
         mode: "unconstrained", "exact" or "weighted".
         weight: weighting factor for the weighted mode (None = default rule).
         order, tol: passed to :func:`kung_realize`.

@@ -760,3 +760,177 @@ class TestComputedOnce:
         config.mc_runs = 5
         mc_compare(config)
         assert len(consistency_calls) == 1
+
+
+def _config_or_exit_code(argv):
+    """The repr of the RunConfig that argv reads to, or 2 if a value is refused."""
+    from priorsid.cli import _config_from_args, build_parser
+
+    try:
+        return repr(_config_from_args(build_parser().parse_args(argv)))
+    except SystemExit as exc:  # argparse refuses a value outside the choices
+        return exc.code
+    except ValueError:
+        return EXIT_INPUT
+
+
+class TestFlagsReadLikeConfigKeys:
+    """Each flag text is read as the same JSON key holding that string."""
+
+    CASES = {
+        "dataset": ["data.csv"],
+        "ts": ["1", "0.25", "1e-3", "fast"],
+        "ell": ["30", "-3", "30.0", "2.7", "ten"],
+        "q": ["4", "x"],
+        "p": ["4", "1.5"],
+        "mode": ["unconstrained", "exact", "weighted"],
+        "weight": ["1e6", "nan", "heavy"],
+        "delays": ["0", "0,2", "3,", "1,x", "0.5"],
+        "order": ["2", "2.7"],
+        "order_tol": ["1e-3", "nan", "tight"],
+        "output_dir": ["out"],
+        "model_file": ["m.txt"],
+        "input": ["impulse", "step", "prbs", "white"],
+        "n_samples": ["80", "80.5"],
+        "snr_db": ["10", "-inf", "inf", "loud"],
+        "seed": ["7", "-1", "seven"],
+        "mc_runs": ["6", "six"],
+    }
+
+    def test_cases_cover_every_flag(self):
+        from priorsid.cli import _FLAGS
+
+        assert set(self.CASES) == set(_FLAGS)
+
+    @pytest.mark.parametrize(
+        "key, text", [(key, text) for key, texts in CASES.items() for text in texts]
+    )
+    def test_flag_and_config_key_agree(self, tmp_path, key, text):
+        from priorsid.cli import _FLAGS
+
+        flag = _FLAGS[key][0]
+        config_path = tmp_path / "cfg.json"
+        # --delays is split on commas first, so its JSON twin is a list of strings
+        value = [part for part in text.split(",") if part] if key == "delays" else text
+        config_path.write_text(json.dumps({key: value}))
+        from_flag = _config_or_exit_code(["mc-compare", f"{flag}={text}"])
+        from_config = _config_or_exit_code(["mc-compare", "--config", str(config_path)])
+        assert from_flag == from_config
+
+    @pytest.mark.parametrize("key, text", [("mode", "bogus"), ("input", "sine")])
+    def test_value_outside_choices_exits_2_either_way(self, tmp_path, key, text):
+        from priorsid.cli import _FLAGS
+
+        base = {"generator": {"proto": "first_order", "gain": 2.0, "tau": 10.0}, "ts": 1.0,
+                "ell": 10, "mc_runs": 2, "output_dir": str(tmp_path / "mc"),
+                "priors": [{"type": "first_order_decay", "i": 1, "j": 1, "tau": 10.0}]}
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(base))
+        with pytest.raises(SystemExit) as exc:
+            main(["mc-compare", "--config", str(config_path), _FLAGS[key][0], text])
+        assert exc.value.code == EXIT_INPUT
+        config_path.write_text(json.dumps({**base, key: text}))
+        assert main(["mc-compare", "--config", str(config_path)]) == EXIT_INPUT
+
+    def test_flag_overrides_config_key(self, tmp_path):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({"ell": 30, "delays": [1], "seed": 3}))
+        config = _config_or_exit_code(
+            ["mc-compare", "--config", str(config_path), "--ell", "12", "--delays", "0,2"]
+        )
+        assert config == repr(RunConfig(ell=12, delays=[0, 2], seed=3))
+
+    def test_bad_delays_names_the_flag(self, tmp_path, capsys):
+        data = make_dataset_file(tmp_path)
+        code = main([
+            "identify", "--dataset", str(data), "--ts", "1", "--ell", "10",
+            "--delays", "1,x", "--output-dir", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_INPUT
+        assert "--delays" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "mc-compare"])
+    def test_every_prototype_field_has_a_flag(self, capsys, command):
+        import dataclasses
+
+        from priorsid.fileio import _PROTO_TYPES
+
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = capsys.readouterr().out
+        for name, cls in _PROTO_TYPES.items():
+            keys = ["gain" if f.name == "K" else f.name for f in dataclasses.fields(cls)]
+            argv = [command, "--proto", name]
+            if command == "simulate":
+                argv += ["--output", "x.csv"]
+            for number, key in enumerate(keys, start=1):
+                assert f"--{key} " in usage
+                argv += [f"--{key}", str(number)]
+            generator = {"proto": name, **{key: str(n) for n, key in enumerate(keys, 1)}}
+            assert _config_or_exit_code(argv) == repr(RunConfig(generator=generator))
+
+    def test_simulate_defaults_come_from_run_config(self, tmp_path):
+        base = ["simulate", "--proto", "first_order", "--gain", "2", "--tau", "10",
+                "--ts", "1", "--snr-db", "10"]
+        implicit, explicit = tmp_path / "implicit.csv", tmp_path / "explicit.csv"
+        assert main(base + ["--output", str(implicit)]) == EXIT_OK
+        assert main(base + ["--input", "white", "--n", "200", "--seed", "0",
+                            "--output", str(explicit)]) == EXIT_OK
+        assert implicit.read_bytes() == explicit.read_bytes()
+        assert RunConfig().input_kind == "white"
+        assert load_dataset(implicit, Ts=1.0).n_samples == RunConfig().n_samples
+
+
+class TestSettingsOutOfRange:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "2", "1", "-1"])
+    def test_order_tol_outside_unit_interval_exits_2(self, tmp_path, capsys, tol):
+        data = make_dataset_file(tmp_path, snr=10.0)
+        code = main([
+            "identify", "--dataset", str(data), "--ts", "1", "--ell", "20",
+            f"--order-tol={tol}", "--output-dir", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_INPUT
+        assert "tol must be in [0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def _simulate(self, tmp_path, name, *flags):
+        out = tmp_path / name
+        code = main(["simulate", "--proto", "first_order", "--gain", "2", "--tau", "10",
+                     "--ts", "1", "--n", "30", "--output", str(out), *flags])
+        return code, out
+
+    @pytest.mark.parametrize("snr", ["nan", "-inf"])
+    def test_simulate_snr_db_not_a_level_exits_2(self, tmp_path, capsys, snr):
+        code, _ = self._simulate(tmp_path, "x.csv", f"--snr-db={snr}")
+        assert code == EXIT_INPUT
+        assert "snr_db" in capsys.readouterr().err
+
+    def test_simulate_infinite_snr_adds_no_noise(self, tmp_path):
+        assert self._simulate(tmp_path, "clean.csv")[0] == EXIT_OK
+        assert self._simulate(tmp_path, "inf.csv", "--snr-db", "inf")[0] == EXIT_OK
+        assert (tmp_path / "clean.csv").read_bytes() == (tmp_path / "inf.csv").read_bytes()
+
+    def test_simulate_negative_seed_exits_2(self, tmp_path, capsys):
+        code, out = self._simulate(tmp_path, "x.csv", "--seed=-1")
+        assert code == EXIT_INPUT
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--seed=-1"], "seed must be >= 0"), (["--snr-db=nan"], "snr_db"),
+         (["--snr-db=-inf"], "snr_db")],
+    )
+    def test_mc_compare_setting_out_of_range_exits_2(self, tmp_path, capsys, flags, message):
+        priors = write_priors_file(
+            tmp_path, [{"type": "first_order_decay", "i": 1, "j": 1, "tau": 10.0}]
+        )
+        code = main([
+            "mc-compare", "--proto", "first_order", "--gain", "2", "--tau", "10",
+            "--ts", "1", "--ell", "10", "--n", "30", "--mc-runs", "2",
+            "--priors", str(priors), "--output-dir", str(tmp_path / "mc"), *flags,
+        ])
+        assert code == EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "mc").exists()

@@ -101,6 +101,18 @@ class TestKungRealize:
         with pytest.raises(ValueError, match="q must be at least 2"):
             kung_realize(GEOMETRIC, 1, 2)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 1.0, 2.0, -1.0, -1e-12])
+    def test_tol_outside_unit_interval_rejected(self, tol):
+        # a tol of 1 or more (or nan) used to drop every dynamic (order 0), and
+        # a negative one kept the full rank bound
+        with pytest.raises(ValueError, match="tol must be in"):
+            kung_realize(GEOMETRIC, 2, 2, tol=tol)
+
+    def test_tol_edges_accepted(self):
+        result = kung_realize(GEOMETRIC, 2, 2, tol=0.0)  # every nonzero sigma
+        assert result.order == np.count_nonzero(result.singular_values)
+        assert kung_realize(GEOMETRIC, 2, 2, tol=1.0 - 1e-12).order == 1
+
     def test_order_beyond_bound(self):
         with pytest.raises(ValueError, match="rank bound"):
             kung_realize(GEOMETRIC, 2, 2, order=3)
@@ -197,6 +209,21 @@ class TestIdentifyPipeline:
     def test_default_hankel_shape(self):
         assert default_hankel_shape(30) == (15, 15)
         assert default_hankel_shape(31) == (16, 16)
+        assert default_hankel_shape(3) == (2, 2)
+        assert default_hankel_shape(2) == (2, 1)  # q >= 2 for the shift equation
+        assert default_hankel_shape(1) == (2, 1)
+        assert default_hankel_shape(0) == (2, 1)
+
+    def test_default_hankel_shape_at_ell_2_realizes(self):
+        data = IdentDataset(U=np.ones((10, 1)), Y=np.ones((10, 1)), Ts=1.0)
+        result = identify_pipeline(data, [], ell=2)
+        assert (result.q, result.p) == (2, 1)
+
+    @pytest.mark.parametrize("ell", [0, 1])
+    def test_default_hankel_shape_below_ell_2_names_ell(self, ell):
+        data = IdentDataset(U=np.ones((10, 1)), Y=np.ones((10, 1)), Ts=1.0)
+        with pytest.raises(ValueError, match=f"insufficient ell.*ell={ell}"):
+            identify_pipeline(data, [], ell=ell)
 
     def test_bad_mode(self):
         data = IdentDataset(U=np.ones((10, 1)), Y=np.ones((10, 1)), Ts=1.0)
