@@ -475,18 +475,20 @@ _CONFIG_KEYS = {
 # JSON config key -> (flag, help), in the flag sets that subcommands share.
 # A flag sets its key's field (dest) from its text, read as the same key
 # given as a JSON string would be.
-_IDENTIFY_FLAGS = {  # identify and mc-compare
-    "dataset": ("--dataset", "input dataset CSV"),
+_ESTIMATE_FLAGS = {  # identify and mc-compare
     "ts": ("--ts", "sampling period in seconds"),
     "ell": ("--ell", "Markov horizon (lags 0..ell)"),
-    "q": ("--q", "Hankel block rows"),
-    "p": ("--p", "Hankel block columns"),
     "mode": ("--mode", "estimation mode"),
     "weight": ("--weight", "weighting factor for weighted mode"),
+    "output_dir": ("--output-dir", "directory for report files"),
+}
+_IDENTIFY_FLAGS = {  # identify only: mc-compare reads no dataset and realizes no model
+    "dataset": ("--dataset", "input dataset CSV"),
     "delays": ("--delays", "comma-separated per-input sample delays"),
+    "q": ("--q", "Hankel block rows"),
+    "p": ("--p", "Hankel block columns"),
     "order": ("--order", "fixed model order (default: automatic)"),
     "order_tol": ("--order-tol", "relative singular-value cutoff for automatic order selection"),
-    "output_dir": ("--output-dir", "directory for report files"),
 }
 _GENERATOR_FLAGS = {  # simulate and mc-compare, next to --proto and its parameters
     "model_file": ("--model-file", "state-space model file"),
@@ -495,7 +497,10 @@ _GENERATOR_FLAGS = {  # simulate and mc-compare, next to --proto and its paramet
     "snr_db": ("--snr-db", "output SNR in dB"),
     "seed": ("--seed", "seed of the input and noise (master seed in mc-compare)"),
 }
-_FLAGS = {**_IDENTIFY_FLAGS, **_GENERATOR_FLAGS, "mc_runs": ("--mc-runs", "number of runs")}
+_FLAGS = {
+    **_ESTIMATE_FLAGS, **_IDENTIFY_FLAGS, **_GENERATOR_FLAGS,
+    "mc_runs": ("--mc-runs", "number of runs"),
+}
 _CHOICES = {"mode": MODES, "input": INPUT_KINDS}
 
 # prototype parameter key -> the prototypes that take it
@@ -517,6 +522,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         for key, value in raw.items():
             if key == "priors":
                 config.priors = [fileio.prior_from_dict(entry) for entry in value]
+            elif args.command == "mc-compare" and key in _IDENTIFY_FLAGS:
+                raise ValueError(f"{args.config}: config key {key!r} is not read by mc-compare")
             elif key in _CONFIG_KEYS:
                 given.append((key, value, f"{args.config}: config key {key!r}"))
             else:
@@ -607,7 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
     for cmd in (ident, mc):
         cmd.add_argument("--config", help="JSON config file; flags override its values")
         cmd.add_argument("--priors", dest="priors_file", help="JSON file with prior entries")
-        _add_flags(cmd, *_IDENTIFY_FLAGS)
+        _add_flags(cmd, *_ESTIMATE_FLAGS)
+    _add_flags(ident, *_IDENTIFY_FLAGS)
     for cmd in (sim, mc):
         cmd.add_argument(
             "--proto", choices=tuple(fileio._PROTO_TYPES), help="prototype generator model"

@@ -301,10 +301,20 @@ def default_weight(reg: FirRegression, cs: EqualityConstraintSet) -> float:
 
     1e6 times the ratio of the largest singular values of Phi and A_eq:
     large enough that the constraints dominate, small enough to keep the
-    stacked problem solvable in double precision.  sigma_max(A_eq) is the
-    ``sigma_max`` of ``cs.consistency``, taken from its block factorizations.
+    stacked problem solvable in double precision.  sigma_max(Phi) is the
+    square root of the largest eigenvalue (``eigvalsh``) of the smaller
+    Gram matrix, X X^T when Phi is wide and X^T X otherwise, of
+    X = 2^-e Phi with max |X| in [0.5, 1), scaled back by 2^e; the exact
+    power of 2 keeps the Gram matrix from overflowing or underflowing.
+    sigma_max(A_eq) is the ``sigma_max`` of ``cs.consistency``, taken from
+    its block factorizations.
     """
-    smax_phi = float(np.linalg.norm(reg.Phi, 2)) if reg.Phi.size else 0.0
+    smax_phi = 0.0
+    if reg.Phi.size:
+        e = int(np.frexp(np.abs(reg.Phi).max())[1])
+        X = np.ldexp(reg.Phi, -e)
+        gram = X @ X.T if X.shape[0] < X.shape[1] else X.T @ X
+        smax_phi = math.ldexp(math.sqrt(np.linalg.eigvalsh(gram)[-1]), e)
     w = 1e6 * smax_phi / max(cs.consistency.sigma_max, np.finfo(float).eps)
     return w if w > 0 else 1.0
 
@@ -322,10 +332,13 @@ def ls_equality_weighted(
     include the columns no row touches.  With m = V1 a + V2 z and
     a = a0 + S^-1 e / weight, a0 = S^-1 U1^T b_eq, the objective is
     ||K e + G2 z - d||^2 + ||e||^2 up to a constant, where G = Phi V,
-    K = G1 S^-1 / weight and d = Yvec - G1 a0.  With the thin SVD
-    K = Uk diag(sk) Vk^T, z solves the least squares of
-    W (G2 z - d), W = I - Uk diag(1 - (1 + sk^2)^-1/2) Uk^T, and then
-    e = Vk diag(sk / (1 + sk^2)) Uk^T (d - G2 z).
+    K = G1 S^-1 / weight and d = Yvec - G1 a0.  Only K's left singular
+    pairs Uk, sk are needed, with K^T Uk = Vk diag(sk): from the thin SVD
+    of K when K is tall, and when K is wide (fewer data rows than the
+    constraint rank) from the SVD of the square R^T of K^T = Q R, since
+    K = R^T Q^T; neither Q nor Vk is formed.  z solves the least squares
+    of W (G2 z - d), W = I - Uk diag(1 - (1 + sk^2)^-1/2) Uk^T, and then
+    e = K^T Uk diag(1 / (1 + sk^2)) Uk^T (d - G2 z).
 
     Diagnostics: ``rank`` is the sum of the block ranks plus the rank of
     W G2; ``cond`` is the largest over the smallest of weight * S and the
@@ -350,7 +363,12 @@ def ls_equality_weighted(
     K, G2, s1, a0, lift = _block_coordinates(reg, cs)  # K is G1 until it is scaled
     d = reg.Yvec - K @ a0
     K /= weight * s1
-    Uk, sk, Vkt = np.linalg.svd(K, full_matrices=False)
+    if K.shape[0] < K.shape[1]:  # K = R^T Q^T: R^T holds K's left singular pairs
+        Uk, sk = np.linalg.svd(np.linalg.qr(K.T, mode="r").T)[:2]
+        KtU = K.T @ Uk
+    else:
+        Uk, sk, Vkt = np.linalg.svd(K, full_matrices=False)
+        KtU = np.multiply(Vkt.T, sk, out=Vkt.T)  # Vk diag(sk), in Vkt's memory
     del K  # K, Uk and G2 go as soon as they are used: they set the memory peak
     hk = np.hypot(1.0, sk)
     shrink = sk**2 / (hk * (hk + 1.0))  # 1 - 1 / hk without cancellation
@@ -360,7 +378,7 @@ def ls_equality_weighted(
     del Uk
     z, _, rank_z, sz = np.linalg.lstsq(G2, Wd, rcond=None)
     del G2
-    e = Vkt.T @ (sk / hk**2 * (q - P @ z))  # Uk^T (d - G2 z) = q - P z
+    e = KtU @ ((q - P @ z) / hk**2)  # Uk^T (d - G2 z) = q - P z
     m_hat = lift(a0 + e / (weight * s1), z)
     singular_values = np.sort(np.concatenate([weight * s1, sz]))[::-1]
     diagnostics = _lstsq_diagnostics(reg.Phi, singular_values, len(s1) + rank_z)

@@ -89,6 +89,14 @@ def _check_hankel_shape(q: int, p: int, ell: int) -> None:
         )
 
 
+def _check_realization_settings(q: int, tol: float) -> None:
+    """Reject a Hankel with one block row, or an order cutoff outside [0, 1)."""
+    if q < 2:
+        raise ValueError(f"q must be at least 2 for the shift equation, got {q}")
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"tol must be in [0, 1), got {tol}")
+
+
 def default_hankel_shape(ell: int) -> tuple[int, int]:
     """Square-ish Hankel blocks q = max(2, h), p = max(1, h), h = floor((ell + 1) / 2).
 
@@ -136,10 +144,7 @@ def kung_realize(
         RealizationResult; ``reconstruction_error`` is the Frobenius norm of
         the mismatch between the realized and given M_1 .. M_{q+p-1}.
     """
-    if q < 2:
-        raise ValueError(f"q must be at least 2 for the shift equation, got {q}")
-    if not 0.0 <= tol < 1.0:
-        raise ValueError(f"tol must be in [0, 1), got {tol}")
+    _check_realization_settings(q, tol)
     H = block_hankel(markov, q, p)
     n_y, n_u = markov.n_y, markov.n_u
     U, s, Vt = np.linalg.svd(H, full_matrices=False)
@@ -208,6 +213,7 @@ def identify_pipeline(
     q = q_default if q is None else q
     p = p_default if p is None else p
     _check_hankel_shape(q, p, ell)
+    _check_realization_settings(q, tol)  # before any regressor is built
 
     cs = compile_priors(priors, MarkovIndexing(n_y=data.n_y, n_u=data.n_u, ell=ell), data.Ts)
     reg = build_fir_regression(data, ell)

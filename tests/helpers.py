@@ -4,6 +4,7 @@ import functools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
@@ -157,6 +158,34 @@ def stacked_weighted_lstsq(Phi, y, A, b, weight):
     rhs = np.concatenate([y, weight * b])
     m, _, rank, s = np.linalg.lstsq(stacked, rhs, rcond=None)
     return m, stacked, rhs, int(rank), s
+
+
+def _integers(X):
+    """Integers Xi and an exponent e with X = Xi 2^e exactly, for a float array X."""
+    mantissa, exponent = np.frexp(np.asarray(X, dtype=float))
+    e = int(exponent.min()) - 53
+    Xi = [int(m * 2.0**53) << int(x - 53 - e) for m, x in zip(mantissa.flat, exponent.flat)]
+    return np.array(Xi, dtype=object).reshape(np.shape(X)), e
+
+
+def mp_weighted_solution(Phi, y, A, b, weight, dps=50):
+    """Oracle for the method of weighting in ``dps`` digits (mpmath).
+
+    Solves the normal equations of min ||Phi m - y||^2 + w^2 ||A m - b||^2
+    by Cholesky.  [Phi y; w A  w b] is held exactly as integers times one
+    power of 2, which cancels, so the Gram matrix is exact and the only
+    rounding is the solve's, about cond([Phi; w A])^2 10^-dps relative.
+    """
+    top, e_top = _integers(np.column_stack([Phi, y]))
+    bottom, e_bottom = _integers(np.column_stack([A, b]))
+    w, e_w = _integers(weight)
+    e = min(e_top, e_bottom + e_w)
+    stacked = np.vstack([top * 2 ** (e_top - e), bottom * (w * 2 ** (e_bottom + e_w - e))])
+    gram = stacked.T @ stacked  # [N r; r^T y^T y + w^2 b^T b]
+    with mpmath.workdps(dps):
+        m = mpmath.cholesky_solve(mpmath.matrix(gram[:-1, :-1].tolist()),
+                                  mpmath.matrix(gram[:-1, -1].tolist()))
+        return np.array([float(v) for v in m])
 
 
 def dict_compile_priors(priors, indexing, Ts):

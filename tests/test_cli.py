@@ -5,6 +5,7 @@ import re
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import priorsid.priors
+import priorsid.realize
 from priorsid import (
     FirstOrderDecay,
     GainRatio,
@@ -726,6 +728,21 @@ class TestComputedOnce:
         kernel = ((60 - 8) * 2, cs.consistency.rank)
         assert svd_shapes == blocks + [kernel, (result.q * 2, result.p * 2)]
 
+    def test_weighted_pipeline_on_short_data_factors_no_wide_matrix(self, svd_shapes):
+        rng = np.random.default_rng(3)
+        data = IdentDataset(
+            U=rng.standard_normal((14, 2)), Y=rng.standard_normal((14, 2)), Ts=1.0
+        )
+        priors = [FirstOrderDecay(i=1, j=1, tau=5.0), ZeroChannel(i=2, j=2),
+                  GainRatio(i=1, j=1, p=2, q=1, ratio=0.5)]
+        result = identify_pipeline(data, priors, ell=8, mode="weighted")
+        cs = result.constraints
+        blocks = [(len(block.rows), len(block.cols)) for block in cs.consistency.blocks]
+        rows = (14 - 8) * 2
+        assert rows < cs.consistency.rank  # K is wide: 12 data rows, rank 18
+        # the solver factors the square triangle R of K^T = Q R, never the wide K
+        assert svd_shapes == blocks + [(rows, rows), (result.q * 2, result.p * 2)]
+
     def test_exact_pipeline_factors_only_blocks_and_hankel(self, svd_shapes):
         rng = np.random.default_rng(3)
         data = IdentDataset(
@@ -806,15 +823,16 @@ class TestFlagsReadLikeConfigKeys:
         "key, text", [(key, text) for key, texts in CASES.items() for text in texts]
     )
     def test_flag_and_config_key_agree(self, tmp_path, key, text):
-        from priorsid.cli import _FLAGS
+        from priorsid.cli import _FLAGS, _IDENTIFY_FLAGS
 
         flag = _FLAGS[key][0]
+        command = "identify" if key in _IDENTIFY_FLAGS else "mc-compare"
         config_path = tmp_path / "cfg.json"
         # --delays is split on commas first, so its JSON twin is a list of strings
         value = [part for part in text.split(",") if part] if key == "delays" else text
         config_path.write_text(json.dumps({key: value}))
-        from_flag = _config_or_exit_code(["mc-compare", f"{flag}={text}"])
-        from_config = _config_or_exit_code(["mc-compare", "--config", str(config_path)])
+        from_flag = _config_or_exit_code([command, f"{flag}={text}"])
+        from_config = _config_or_exit_code([command, "--config", str(config_path)])
         assert from_flag == from_config
 
     @pytest.mark.parametrize("key, text", [("mode", "bogus"), ("input", "sine")])
@@ -836,7 +854,7 @@ class TestFlagsReadLikeConfigKeys:
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps({"ell": 30, "delays": [1], "seed": 3}))
         config = _config_or_exit_code(
-            ["mc-compare", "--config", str(config_path), "--ell", "12", "--delays", "0,2"]
+            ["identify", "--config", str(config_path), "--ell", "12", "--delays", "0,2"]
         )
         assert config == repr(RunConfig(ell=12, delays=[0, 2], seed=3))
 
@@ -894,6 +912,28 @@ class TestSettingsOutOfRange:
         assert "tol must be in [0, 1)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--q=1", "q must be at least 2"), ("--order-tol=2", "tol must be in [0, 1)")],
+    )
+    def test_realization_setting_refused_before_the_regressor(
+        self, tmp_path, capsys, monkeypatch, flag, message
+    ):
+        spy = mock.Mock(wraps=priorsid.realize.build_fir_regression)
+        monkeypatch.setattr(priorsid.realize, "build_fir_regression", spy)
+        data = make_dataset_file(tmp_path, snr=10.0)
+        priors = write_priors_file(
+            tmp_path, [{"type": "first_order_decay", "i": 1, "j": 1, "tau": 10.0}]
+        )
+        code = main([
+            "identify", "--dataset", str(data), "--ts", "1", "--ell", "20",
+            "--priors", str(priors), flag, "--output-dir", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_INPUT
+        assert message in capsys.readouterr().err
+        spy.assert_not_called()
+        assert not (tmp_path / "out").exists()
+
     def _simulate(self, tmp_path, name, *flags):
         out = tmp_path / name
         code = main(["simulate", "--proto", "first_order", "--gain", "2", "--tau", "10",
@@ -933,4 +973,37 @@ class TestSettingsOutOfRange:
         ])
         assert code == EXIT_INPUT
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "mc").exists()
+
+    MC_BASE = ["mc-compare", "--proto", "first_order", "--gain", "2", "--tau", "10",
+               "--ts", "1", "--ell", "10", "--n", "30", "--mc-runs", "2"]
+    IDENTIFY_ONLY = {"dataset": "nothere.csv", "q": 50, "p": 4, "order": 99,
+                     "order_tol": 0.5, "delays": [1]}
+
+    @pytest.mark.parametrize("key", list(IDENTIFY_ONLY))
+    def test_mc_compare_refuses_identify_only_flag(self, tmp_path, capsys, key):
+        from priorsid.cli import _FLAGS
+
+        flag = _FLAGS[key][0]
+        value = self.IDENTIFY_ONLY[key]
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        with pytest.raises(SystemExit) as exc:
+            main(self.MC_BASE + ["--output-dir", str(tmp_path / "mc"), flag, text])
+        assert exc.value.code == EXIT_INPUT
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "mc").exists()
+
+    @pytest.mark.parametrize("key", list(IDENTIFY_ONLY))
+    def test_mc_compare_refuses_identify_only_config_key(self, tmp_path, capsys, key):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({key: self.IDENTIFY_ONLY[key]}))
+        priors = write_priors_file(
+            tmp_path, [{"type": "first_order_decay", "i": 1, "j": 1, "tau": 10.0}]
+        )
+        code = main(self.MC_BASE + [
+            "--config", str(config_path), "--priors", str(priors),
+            "--output-dir", str(tmp_path / "mc"),
+        ])
+        assert code == EXIT_INPUT
+        assert f"config key {key!r} is not read by mc-compare" in capsys.readouterr().err
         assert not (tmp_path / "mc").exists()

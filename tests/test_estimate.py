@@ -1,8 +1,9 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from priorsid import (
@@ -31,6 +32,7 @@ from helpers import (
     compile_quietly,
     dense_fir_regression,
     kkt_solve,
+    mp_weighted_solution,
     prior_sets,
     random_stable_model,
     stacked_weighted_lstsq,
@@ -91,6 +93,51 @@ def assert_matches_stacked_oracle(reg, cs, weight):
         return np.linalg.norm(stacked @ v - rhs) ** 2
 
     assert objective(m) <= objective(m_ref) * (1 + 1e-12)
+
+
+def assert_matches_50_digit_solution(cs, rows, rng, weight):
+    """On ``rows`` random data rows, the weighted estimate within 1e-12
+    relative of the 50-digit minimizer.
+
+    With fewer data rows than the constraint rank, one double lstsq of the
+    stacked system (``assert_matches_stacked_oracle``) can be off by 1e-8,
+    so the judge is the stacked problem solved in mpmath.
+    """
+    reg = FirRegression(
+        Phi=rng.standard_normal((rows, cs.indexing.size)), Yvec=rng.standard_normal(rows),
+        indexing=cs.indexing, Ts=1.0,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EstimationWarning)
+        result = ls_equality_weighted(reg, cs, weight)
+    m = cs.indexing.vec(result.markov)
+    m_ref = mp_weighted_solution(
+        reg.Phi, reg.Yvec, cs.A_eq, cs.b_eq, result.diagnostics["weight"]
+    )
+    assert np.linalg.norm(m - m_ref) <= 1e-12 * np.linalg.norm(m_ref)
+
+
+@st.composite
+def short_data_prior_sets(draw):
+    """A prior on each channel of a 2x2 system, each leaving at most two
+    lags free, and a GainRatio that joins two distinct channels."""
+    gain = st.none() | st.floats(-10.0, 10.0)
+    pole = st.floats(-0.95, 0.95)
+    priors = []
+    for i, j in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+        kind = draw(st.sampled_from(["decay", "integrator", "recurrence", "zero"]))
+        if kind == "decay":
+            priors.append(FirstOrderDecay(i, j, tau=draw(st.floats(0.5, 20.0)), gain=draw(gain)))
+        elif kind == "integrator":
+            priors.append(IntegratorChannel(i, j, gain=draw(gain)))
+        elif kind == "recurrence":
+            p1, p2 = draw(pole), draw(pole)
+            priors.append(SecondOrderRecurrence(i, j, alpha1=-(p1 + p2), alpha0=p1 * p2))
+        else:
+            priors.append(ZeroChannel(i, j))
+    (i, j), (p, q) = draw(st.permutations([(1, 1), (1, 2), (2, 1), (2, 2)]))[:2]
+    ratio = draw(st.floats(0.1, 10.0) | st.floats(-10.0, -0.1))
+    return priors + [GainRatio(i, j, p, q, ratio=ratio)]
 
 
 class TestBuildFirRegression:
@@ -523,9 +570,29 @@ class TestEqualityWeighted:
         )
         w = default_weight(reg, cs)
         sigma_max = cs.consistency.sigma_max
-        assert w == 1e6 * np.linalg.norm(reg.Phi, 2) / sigma_max
+        # Phi is 40 x 30: the 30 x 30 Gram matrix of Phi scaled to max |X| in [0.5, 1)
+        e = int(np.frexp(np.abs(reg.Phi).max())[1])
+        X = np.ldexp(reg.Phi, -e)
+        smax_phi = math.ldexp(math.sqrt(np.linalg.eigvalsh(X.T @ X)[-1]), e)
+        assert w == 1e6 * smax_phi / sigma_max
         norm = np.linalg.norm(A, 2)
         assert abs(sigma_max - norm) <= 1e-15 * norm
+
+    # unscaled, the Gram matrix overflows at 1e160 and underflows at 1e-160
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e160, 1e-160])
+    @pytest.mark.parametrize("rows", [12, 60], ids=["wide", "tall"])
+    def test_default_weight_reads_sigma_max_of_phi(self, rows, scale):
+        rng = np.random.default_rng(rows)
+        idx = MarkovIndexing(n_y=2, n_u=2, ell=8)  # 36 columns
+        reg = FirRegression(
+            Phi=scale * rng.standard_normal((rows, idx.size)), Yvec=np.zeros(rows),
+            indexing=idx, Ts=1.0,
+        )
+        unit_row = np.eye(1, idx.size)  # sigma_max(A_eq) = 1
+        cs = EqualityConstraintSet(A_eq=unit_row, b_eq=np.ones(1), indexing=idx, provenance=("e",))
+        assert cs.consistency.sigma_max == 1.0
+        norm = np.linalg.norm(reg.Phi, 2)
+        assert abs(default_weight(reg, cs) / 1e6 - norm) <= 1e-14 * norm
 
     @pytest.mark.parametrize("weight", [1e-9, 1e3, None, 1e8])
     @pytest.mark.parametrize(
@@ -573,6 +640,39 @@ class TestEqualityWeighted:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EstimationWarning)
             assert_matches_stacked_oracle(reg, cs, weight)
+
+    # short data: fewer data rows than the constraint rank, so K is wide
+    SHORT_DATA_PRIORS = {
+        "coupled": [FirstOrderDecay(i=1, j=1, tau=4.0), IntegratorChannel(i=1, j=2),
+                    SecondOrderRecurrence(i=2, j=1, alpha1=-1.2, alpha0=0.36),
+                    ZeroChannel(i=2, j=2), GainRatio(i=1, j=1, p=2, q=1, ratio=0.5)],
+        "contradictory": [FirstOrderDecay(i=1, j=1, tau=4.0, gain=2.0),
+                          FirstOrderDecay(i=2, j=1, tau=6.0, gain=1.0),
+                          IntegratorChannel(i=1, j=2), ZeroChannel(i=2, j=2),
+                          GainRatio(i=1, j=1, p=2, q=1, ratio=0.5)],
+    }
+
+    @pytest.mark.parametrize("weight", [1e3, None, 1e8])
+    @pytest.mark.parametrize("rows", [6, 12, 20])
+    @pytest.mark.parametrize("name", list(SHORT_DATA_PRIORS))
+    def test_short_data_matches_50_digit_solution(self, name, rows, weight):
+        idx = MarkovIndexing(n_y=2, n_u=2, ell=8)
+        cs = compile_priors(self.SHORT_DATA_PRIORS[name], idx, Ts=1.0)
+        assert idx.size - cs.consistency.rank <= rows < cs.consistency.rank
+        assert_matches_50_digit_solution(cs, rows, np.random.default_rng(rows), weight)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        priors=short_data_prior_sets(),
+        rows=st.sampled_from([6, 12, 20]),
+        seed=st.integers(0, 2**32 - 1),
+        weight=st.sampled_from([1e3, None, 1e8]),
+    )
+    def test_short_data_matches_50_digit_solution_on_random_sets(self, priors, rows, seed, weight):
+        idx = MarkovIndexing(n_y=2, n_u=2, ell=8)
+        cs = compile_quietly(priors, idx)
+        assume(idx.size - cs.consistency.rank <= rows < cs.consistency.rank)
+        assert_matches_50_digit_solution(cs, rows, np.random.default_rng(seed), weight)
 
     def test_diagnostics_match_stacked_at_default_weight(self):
         rng = np.random.default_rng(19)
