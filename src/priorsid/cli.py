@@ -6,8 +6,10 @@ configuration and the seed, so reruns are byte-identical and the Monte
 Carlo harness can be scripted safely.
 
 Configuration may come from a JSON file (``--config``), from flags, or
-both; flags win.  Per-run Monte Carlo seeds are derived from the master
-seed and the run index, so results do not depend on scheduling.
+both; flags win.  Each command reads only the settings that its entry in
+``_COMMANDS`` lists and refuses any other config key.  Per-run Monte Carlo
+seeds are derived from the master seed and the run index, so results do
+not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .estimate import (
     ls_equality_weighted,
     ls_unconstrained,
 )
-from .fileio import load_dataset
 from .priors import InfeasibleConstraintsError, MarkovIndexing, PriorSpec, compile_priors
 from .realize import MODES, identify_pipeline
 from .statespace import StateSpaceModel, dc_gain, markov_sequence, simulate
@@ -39,7 +40,6 @@ from .statespace import StateSpaceModel, dc_gain, markov_sequence, simulate
 __all__ = [
     "RunConfig",
     "PipelineStageError",
-    "load_dataset",
     "generate_input",
     "apply_delays",
     "run_simulate",
@@ -55,6 +55,8 @@ EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
 INPUT_KINDS = ("impulse", "step", "prbs", "white")
+# mc-compare compares a constrained estimate with the unconstrained one
+MC_MODES = ("exact", "weighted")
 
 # Two Monte Carlo error metrics closer than this count as a tie.
 MC_TIE_TOL = 1e-6
@@ -107,13 +109,10 @@ def _stage(name: str):
 def _exit_code(exc: BaseException) -> int:
     if isinstance(exc, InfeasibleConstraintsError):
         return EXIT_INFEASIBLE
-    if isinstance(
-        exc, (np.linalg.LinAlgError, FloatingPointError, OverflowError, ZeroDivisionError)
-    ):
+    if isinstance(exc, (np.linalg.LinAlgError, ArithmeticError)):
         return EXIT_NUMERICAL
-    if isinstance(
-        exc, (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError)
-    ):
+    # a json.JSONDecodeError is a ValueError
+    if isinstance(exc, (ValueError, TypeError, KeyError, OSError)):
         return EXIT_INPUT
     return 1
 
@@ -189,9 +188,7 @@ def apply_delays(U: np.ndarray, delays: list[int]) -> np.ndarray:
         if d != int(d) or d < 0:
             raise ValueError(f"delays must be nonnegative integers, got {d!r}")
         d = int(d)
-        if d == 0:
-            out[:, j] = U[:, j]
-        elif d < U.shape[0]:
+        if d < U.shape[0]:
             out[d:, j] = U[: U.shape[0] - d, j]
     return out
 
@@ -234,7 +231,7 @@ def run_identify(config: RunConfig) -> dict[str, str]:
             raise ValueError(f"mode must be one of {MODES}, got {config.mode!r}")
 
     with _stage("dataset loading"):
-        data = load_dataset(config.dataset, config.Ts)
+        data = fileio.load_dataset(config.dataset, config.Ts)
 
     with _stage("delay shifting"):
         if config.delays:
@@ -313,6 +310,8 @@ def _write_report(path, config, data, result):
 
 
 def _generator_model(config: RunConfig) -> StateSpaceModel:
+    if config.generator is not None and config.model_file is not None:
+        raise ValueError("give --proto or --model-file (keys 'generator', 'model_file'), not both")
     if config.generator is not None:
         if config.Ts is None:
             raise ValueError("Ts (--ts) is required to discretize a prototype generator")
@@ -342,10 +341,8 @@ def mc_compare(config: RunConfig) -> tuple[list[dict[str, float]], dict[str, Any
         raise ValueError("the Markov horizon ell is required")
     if not config.priors:
         raise ValueError("mc-compare needs at least one prior to compare against")
-    if config.mode not in ("exact", "weighted"):
-        raise ValueError(
-            f"mc-compare mode must be 'exact' or 'weighted', got {config.mode!r}"
-        )
+    if config.mode not in MC_MODES:
+        raise ValueError(f"mc-compare mode must be one of {MC_MODES}, got {config.mode!r}")
 
     model = _generator_model(config)
     ell = config.ell
@@ -465,43 +462,46 @@ def _format_summary(summary: dict[str, Any]) -> str:
 # configuration plumbing
 
 # JSON config key -> RunConfig field: the field names, but "ts" and "input"
-# for Ts and input_kind; priors are parsed apart.
+# for Ts and input_kind
 _CONFIG_KEYS = {
-    {"Ts": "ts", "input_kind": "input"}.get(f.name, f.name): f
-    for f in fields(RunConfig)
-    if f.name != "priors"
+    {"Ts": "ts", "input_kind": "input"}.get(f.name, f.name): f for f in fields(RunConfig)
 }
 
-# JSON config key -> (flag, help), in the flag sets that subcommands share.
-# A flag sets its key's field (dest) from its text, read as the same key
-# given as a JSON string would be.
-_ESTIMATE_FLAGS = {  # identify and mc-compare
+# JSON config key -> (flag, help).  A flag sets its key's field (dest) from
+# its text, read as the same key given as a JSON string would be.
+_FLAGS = {
     "ts": ("--ts", "sampling period in seconds"),
     "ell": ("--ell", "Markov horizon (lags 0..ell)"),
     "mode": ("--mode", "estimation mode"),
     "weight": ("--weight", "weighting factor for weighted mode"),
     "output_dir": ("--output-dir", "directory for report files"),
-}
-_IDENTIFY_FLAGS = {  # identify only: mc-compare reads no dataset and realizes no model
     "dataset": ("--dataset", "input dataset CSV"),
     "delays": ("--delays", "comma-separated per-input sample delays"),
     "q": ("--q", "Hankel block rows"),
     "p": ("--p", "Hankel block columns"),
     "order": ("--order", "fixed model order (default: automatic)"),
     "order_tol": ("--order-tol", "relative singular-value cutoff for automatic order selection"),
-}
-_GENERATOR_FLAGS = {  # simulate and mc-compare, next to --proto and its parameters
     "model_file": ("--model-file", "state-space model file"),
     "input": ("--input", "test input signal"),
     "n_samples": ("--n", "number of samples (per run)"),
     "snr_db": ("--snr-db", "output SNR in dB"),
     "seed": ("--seed", "seed of the input and noise (master seed in mc-compare)"),
-}
-_FLAGS = {
-    **_ESTIMATE_FLAGS, **_IDENTIFY_FLAGS, **_GENERATOR_FLAGS,
     "mc_runs": ("--mc-runs", "number of runs"),
 }
-_CHOICES = {"mode": MODES, "input": INPUT_KINDS}
+
+# command -> each config key it reads, with the values it accepts (None: any).
+# A command gets the flags of its keys and refuses any other config key.
+# "priors" brings --config and --priors; "generator" brings --proto and the
+# prototype parameter flags.
+_ESTIMATE = {"priors": None, "ts": None, "ell": None, "mode": MODES, "weight": None,
+             "output_dir": None}
+_GENERATOR = {"generator": None, "model_file": None, "input": INPUT_KINDS, "n_samples": None,
+              "snr_db": None, "seed": None}
+_COMMANDS = {
+    "simulate": {**_GENERATOR, "ts": None},
+    "identify": _ESTIMATE | dict.fromkeys(("dataset", "delays", "q", "p", "order", "order_tol")),
+    "mc-compare": _ESTIMATE | _GENERATOR | {"mode": MC_MODES, "mc_runs": None},
+}
 
 # prototype parameter key -> the prototypes that take it
 _PROTO_TAKERS = {
@@ -512,6 +512,7 @@ _PROTO_TAKERS = {
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    reads = _COMMANDS[args.command]
     config = RunConfig()
     given = []  # (key, value, where to blame); flags come last, so they win
     if getattr(args, "config", None):
@@ -520,14 +521,15 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if not isinstance(raw, dict):
             raise ValueError(f"{args.config}: config file must hold a JSON object")
         for key, value in raw.items():
+            where = f"{args.config}: config key {key!r}"
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"{args.config}: unknown config key {key!r}")
+            if key not in reads:
+                raise ValueError(f"{where} is not read by {args.command}")
             if key == "priors":
                 config.priors = [fileio.prior_from_dict(entry) for entry in value]
-            elif args.command == "mc-compare" and key in _IDENTIFY_FLAGS:
-                raise ValueError(f"{args.config}: config key {key!r} is not read by mc-compare")
-            elif key in _CONFIG_KEYS:
-                given.append((key, value, f"{args.config}: config key {key!r}"))
             else:
-                raise ValueError(f"{args.config}: unknown config key {key!r}")
+                given.append((key, value, where))
     for key, (flag, _) in _FLAGS.items():
         text = getattr(args, _CONFIG_KEYS[key].name, None)
         if text is not None:
@@ -535,7 +537,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             given.append((key, value, f"flag {flag}"))
     for key, value, where in given:
         f = _CONFIG_KEYS[key]
-        setattr(config, f.name, fileio._parse_field(f, value, where))
+        value = fileio._parse_field(f, value, where)
+        if reads[key] is not None and value not in reads[key]:
+            raise ValueError(f"{where}: {value!r} is not one of {reads[key]}")
+        setattr(config, f.name, value)
     if getattr(args, "proto", None) is not None:
         config.generator = {"proto": args.proto} | {
             key: getattr(args, key) for key in _PROTO_TAKERS if getattr(args, key) is not None
@@ -545,10 +550,21 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _add_flags(sub: argparse.ArgumentParser, *keys: str) -> None:
-    for key in keys:
-        flag, text = _FLAGS[key]
-        sub.add_argument(flag, dest=_CONFIG_KEYS[key].name, choices=_CHOICES.get(key), help=text)
+def _add_flags(sub: argparse.ArgumentParser, command: str) -> None:
+    """The flags of the config keys that ``command`` reads, with their choices."""
+    for key, choices in _COMMANDS[command].items():
+        if key == "priors":
+            sub.add_argument("--config", help="JSON config file; flags override its values")
+            sub.add_argument("--priors", dest="priors_file", help="JSON file with prior entries")
+        elif key == "generator":
+            sub.add_argument(
+                "--proto", choices=tuple(fileio._PROTO_TYPES), help="prototype generator model"
+            )
+            for param, names in _PROTO_TAKERS.items():
+                sub.add_argument(f"--{param}", help=f"prototype parameter of {', '.join(names)}")
+        else:
+            flag, text = _FLAGS[key]
+            sub.add_argument(flag, dest=_CONFIG_KEYS[key].name, choices=choices, help=text)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -610,22 +626,9 @@ def build_parser() -> argparse.ArgumentParser:
     comp.set_defaults(func=_cmd_compile_priors)
     mc = sub.add_parser("mc-compare", help="Monte Carlo comparison with vs without priors")
     mc.set_defaults(func=_cmd_mc_compare)
-
-    for cmd in (ident, mc):
-        cmd.add_argument("--config", help="JSON config file; flags override its values")
-        cmd.add_argument("--priors", dest="priors_file", help="JSON file with prior entries")
-        _add_flags(cmd, *_ESTIMATE_FLAGS)
-    _add_flags(ident, *_IDENTIFY_FLAGS)
-    for cmd in (sim, mc):
-        cmd.add_argument(
-            "--proto", choices=tuple(fileio._PROTO_TYPES), help="prototype generator model"
-        )
-        for key, names in _PROTO_TAKERS.items():
-            cmd.add_argument(f"--{key}", help=f"prototype parameter of {', '.join(names)}")
-        _add_flags(cmd, *_GENERATOR_FLAGS)
-    _add_flags(sim, "ts")
+    for command in _COMMANDS:
+        _add_flags(sub.choices[command], command)
     sim.add_argument("--output", required=True, help="dataset CSV to write")
-    _add_flags(mc, "mc_runs")
     return parser
 
 
@@ -634,12 +637,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PipelineStageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return _exit_code(err.original)
     except Exception as err:  # noqa: BLE001 - single funnel to exit codes
         print(f"error: {err}", file=sys.stderr)
-        return _exit_code(err)
+        return _exit_code(err.original if isinstance(err, PipelineStageError) else err)
 
 
 if __name__ == "__main__":

@@ -299,15 +299,17 @@ def ls_equality_exact(reg: FirRegression, cs: EqualityConstraintSet) -> Estimate
 def default_weight(reg: FirRegression, cs: EqualityConstraintSet) -> float:
     """Scale-invariant default for the method of weighting.
 
-    1e6 times the ratio of the largest singular values of Phi and A_eq:
-    large enough that the constraints dominate, small enough to keep the
-    stacked problem solvable in double precision.  sigma_max(Phi) is the
-    square root of the largest eigenvalue (``eigvalsh``) of the smaller
-    Gram matrix, X X^T when Phi is wide and X^T X otherwise, of
-    X = 2^-e Phi with max |X| in [0.5, 1), scaled back by 2^e; the exact
-    power of 2 keeps the Gram matrix from overflowing or underflowing.
-    sigma_max(A_eq) is the ``sigma_max`` of ``cs.consistency``, taken from
-    its block factorizations.
+    1e6 sigma_max(Phi) / s_min, where s_min is the smallest singular value
+    that any block of A_eq keeps (``s[rank - 1]`` over the blocks of
+    ``cs.consistency``).  Along a constraint direction of singular value s
+    a data misfit leaves a constraint residual of order 1 / (w^2 s), so
+    the weight is set by the weakest kept direction: every constraint then
+    dominates the data, while the stacked problem stays solvable in double
+    precision.  sigma_max(Phi) is the square root of the largest eigenvalue
+    (``eigvalsh``) of the smaller Gram matrix, X X^T when Phi is wide and
+    X^T X otherwise, of X = 2^-e Phi with max |X| in [0.5, 1), scaled back
+    by 2^e; the exact power of 2 keeps the Gram matrix from overflowing or
+    underflowing.
     """
     smax_phi = 0.0
     if reg.Phi.size:
@@ -315,7 +317,8 @@ def default_weight(reg: FirRegression, cs: EqualityConstraintSet) -> float:
         X = np.ldexp(reg.Phi, -e)
         gram = X @ X.T if X.shape[0] < X.shape[1] else X.T @ X
         smax_phi = math.ldexp(math.sqrt(np.linalg.eigvalsh(gram)[-1]), e)
-    w = 1e6 * smax_phi / max(cs.consistency.sigma_max, np.finfo(float).eps)
+    s_min = min((b.s[b.rank - 1] for b in cs.consistency.blocks if b.rank), default=0.0)
+    w = 1e6 * smax_phi / max(s_min, np.finfo(float).eps)
     return w if w > 0 else 1.0
 
 

@@ -377,6 +377,10 @@ def compile_priors(
         M_2 = beta0 - alpha1 beta1.
     * ``ZeroChannel``: M_k(i,j) = 0 for every lag (ell + 1 rows).
 
+    Each row's provenance tag is the ``repr`` of its prior on one line: the
+    line breaks of numpy's array repr (in a ``DcGainMatrix``) and the
+    indentation after them become one space.
+
     Each prior's rows are dense over the lags of its channels and are added
     to A_eq through its ``(rows, ell + 1, n_u, n_y)`` view.  A recurrence
     prior that compiles to the lone M_0 row (its horizon is too short for
@@ -390,7 +394,7 @@ def compile_priors(
     ones = np.ones((1, ell + 1))
     parts = []  # (tag, [(i, j, lag rows added to channel (i, j))], rhs)
     for prior in priors:
-        tag = repr(prior)
+        tag = " ".join(line.strip() for line in repr(prior).splitlines())
         if isinstance(prior, DcGain):
             parts.append((tag, [(prior.i, prior.j, ones)], [prior.value]))
         elif isinstance(prior, DcGainMatrix):

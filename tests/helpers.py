@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 import warnings
 
 import mpmath
@@ -223,7 +224,7 @@ def dict_compile_priors(priors, indexing, Ts):
             )
 
     for prior in priors:
-        tag = repr(prior)
+        tag = re.sub(r"\n\s*", " ", repr(prior))
         if isinstance(prior, DcGain):
             indexing.check_channel(prior.i, prior.j)
             add({indexing.index(k, prior.i, prior.j): 1.0 for k in range(ell + 1)},

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -77,8 +78,16 @@ def assert_matches_stacked_oracle(reg, cs, weight):
     oracle's by more than 1e-12 relative.
     """
     result = ls_equality_weighted(reg, cs, weight)
-    weight = result.diagnostics["weight"]
     m = cs.indexing.vec(result.markov)
+    m_ref, bound, objective = stacked_forward_error(reg, cs, result.diagnostics["weight"])
+    assert np.linalg.norm(m - m_ref) <= bound * np.linalg.norm(m_ref)
+    assert objective(m) <= objective(m_ref) * (1 + 1e-12)
+
+
+def stacked_forward_error(reg, cs, weight):
+    """One lstsq of the stacked system at ``weight``: its solution, the
+    relative forward-error gate of :func:`assert_matches_stacked_oracle`
+    and the stacked objective."""
     m_ref, stacked, rhs, _, s = stacked_weighted_lstsq(
         reg.Phi, reg.Yvec, cs.A_eq, cs.b_eq, weight
     )
@@ -87,12 +96,11 @@ def assert_matches_stacked_oracle(reg, cs, weight):
     with np.errstate(divide="ignore"):
         cos, tan = fit / np.linalg.norm(rhs), residual / fit
     bound = 10 * np.finfo(float).eps * (2 * cond / cos + cond**2 * tan)
-    assert np.linalg.norm(m - m_ref) <= max(1e-12, bound) * np.linalg.norm(m_ref)
 
     def objective(v):
         return np.linalg.norm(stacked @ v - rhs) ** 2
 
-    assert objective(m) <= objective(m_ref) * (1 + 1e-12)
+    return m_ref, max(1e-12, bound), objective
 
 
 def assert_matches_50_digit_solution(cs, rows, rng, weight):
@@ -548,6 +556,29 @@ class TestEqualityWeighted:
         s = (2 + 6 * weight**2) / (1 + 4 * weight**2)
         np.testing.assert_allclose(result.markov.blocks.ravel(), [s / 2, s / 2], rtol=1e-14)
 
+    def test_contradictory_rows_match_closed_form_at_default_weight(self):
+        # the rows above plus 0.1 (m_0 - m_1) = 1: the block keeps singular values
+        # 2 and sqrt(2) / 10, so the default weight is 1e6 / (sqrt(2) / 10).  With
+        # s = m_0 + m_1 and t = m_0 - m_1 the objective splits; s is as above and
+        # t^2 / 2 + w^2 (t / 10 - 1)^2 is least at t = 20 w^2 / (100 + 2 w^2)
+        cs = EqualityConstraintSet(
+            A_eq=np.array([[1.0, 1.0], [1.0, 1.0], [0.1, -0.1]]),
+            b_eq=np.array([1.0, 2.0, 1.0]),
+            indexing=MarkovIndexing(n_y=1, n_u=1, ell=1),
+            provenance=("a", "b", "c"),
+        )
+        with pytest.warns(EstimationWarning, match="contradictory"):
+            result = ls_equality_weighted(toy_regression(), cs)
+        (block,) = cs.consistency.blocks
+        assert block.rank == 2 and block.s[1] == pytest.approx(math.sqrt(2) / 10, rel=1e-15)
+        w = result.diagnostics["weight"]
+        assert w == 1e6 / block.s[1]
+        s = (2 + 6 * w**2) / (1 + 4 * w**2)
+        t = 20 * w**2 / (100 + 2 * w**2)
+        np.testing.assert_allclose(
+            result.markov.blocks.ravel(), [(s + t) / 2, (s - t) / 2], rtol=1e-14
+        )
+
     def test_default_weight_positive_and_used(self):
         reg = toy_regression()
         cs = toy_constraint()
@@ -569,14 +600,17 @@ class TestEqualityWeighted:
             provenance=("r",) * 9,
         )
         w = default_weight(reg, cs)
-        sigma_max = cs.consistency.sigma_max
         # Phi is 40 x 30: the 30 x 30 Gram matrix of Phi scaled to max |X| in [0.5, 1)
         e = int(np.frexp(np.abs(reg.Phi).max())[1])
         X = np.ldexp(reg.Phi, -e)
         smax_phi = math.ldexp(math.sqrt(np.linalg.eigvalsh(X.T @ X)[-1]), e)
-        assert w == 1e6 * smax_phi / sigma_max
-        norm = np.linalg.norm(A, 2)
-        assert abs(sigma_max - norm) <= 1e-15 * norm
+        # the random rows touch every channel: one block, whose smallest kept
+        # singular value is sigma_min(A), the ninth
+        (block,) = cs.consistency.blocks
+        assert block.rank == 9
+        assert w == 1e6 * smax_phi / block.s[8]
+        s_min = np.linalg.svd(A, compute_uv=False)[-1]
+        assert abs(block.s[8] - s_min) <= 1e-14 * cs.consistency.sigma_max
 
     # unscaled, the Gram matrix overflows at 1e160 and underflows at 1e-160
     @pytest.mark.parametrize("scale", [1.0, 1e150, 1e160, 1e-160])
@@ -729,6 +763,55 @@ class TestEqualityWeighted:
             exact = idx.vec(ls_equality_exact(reg, cs).markov)
             weighted = idx.vec(ls_equality_weighted(reg, cs, 1e8).markov)
             assert np.linalg.norm(weighted - exact) <= 1e-5
+
+
+def _relabel_outputs(prior, new_index):
+    """``prior`` with its output indices i (and p) mapped through ``new_index``."""
+    changes = {"i": new_index[prior.i - 1] + 1}
+    if isinstance(prior, GainRatio):
+        changes["p"] = new_index[prior.p - 1] + 1
+    return dataclasses.replace(prior, **changes)
+
+
+class TestOutputPermutation:
+    """Permuting the outputs of the data, with the priors' output indices
+    remapped, permutes the estimate: within 1e-12 relative in the
+    unconstrained and exact modes, and in weighted mode within twice the
+    forward-error gate of the stacked oracle, since both estimates lie
+    within that gate of the same (permuted) stacked solution."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(case=prior_sets(coupled=True), data=st.data())
+    def test_permuted_outputs_permute_the_estimate(self, case, data):
+        priors, idx = case
+        perm = data.draw(st.permutations(range(idx.n_y)))  # new output a is old perm[a]
+        new_index = np.argsort(perm)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = idx.ell + (idx.ell + 1) * idx.n_u + 4  # Phi has full column rank
+        U, Y = rng.standard_normal((n, idx.n_u)), rng.standard_normal((n, idx.n_y))
+        reg = build_fir_regression(IdentDataset(U=U, Y=Y, Ts=1.0), idx.ell)
+        reg_p = build_fir_regression(IdentDataset(U=U, Y=Y[:, perm], Ts=1.0), idx.ell)
+        cs = compile_quietly(priors, idx)
+        cs_p = compile_quietly([_relabel_outputs(prior, new_index) for prior in priors], idx)
+        assert cs_p.consistency.infeasible == cs.consistency.infeasible
+
+        def moved(result, result_p):
+            """||estimate of the permuted data, unpermuted - estimate|| and ||estimate||."""
+            blocks = result.markov.blocks
+            return np.linalg.norm(result_p.markov.blocks - blocks[:, perm]), np.linalg.norm(blocks)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EstimationWarning)
+            diff, norm = moved(ls_unconstrained(reg), ls_unconstrained(reg_p))
+            assert diff <= 1e-12 * norm
+            if not cs.consistency.infeasible:
+                diff, norm = moved(ls_equality_exact(reg, cs), ls_equality_exact(reg_p, cs_p))
+                assert diff <= 1e-12 * norm
+            result = ls_equality_weighted(reg, cs)
+            weight = result.diagnostics["weight"]
+            diff, _ = moved(result, ls_equality_weighted(reg_p, cs_p, weight))
+        m_ref, bound, _ = stacked_forward_error(reg, cs, weight)
+        assert diff <= 2 * bound * np.linalg.norm(m_ref)
 
 
 class TestIdentDatasetValidation:
