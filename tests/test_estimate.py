@@ -570,7 +570,7 @@ class TestEqualityWeighted:
         with pytest.warns(EstimationWarning, match="contradictory"):
             result = ls_equality_weighted(toy_regression(), cs)
         (block,) = cs.consistency.blocks
-        assert block.rank == 2 and block.s[1] == pytest.approx(math.sqrt(2) / 10, rel=1e-15)
+        assert block.rank == 2 and block.s[1] == pytest.approx(math.sqrt(2) / 10, rel=1e-14)
         w = result.diagnostics["weight"]
         assert w == 1e6 / block.s[1]
         s = (2 + 6 * w**2) / (1 + 4 * w**2)
