@@ -320,7 +320,13 @@ def _generator_model(config: RunConfig) -> StateSpaceModel:
         proto = fileio.prototype_from_dict(config.generator)
         return prototype_statespace(proto, config.Ts)
     if config.model_file is not None:
-        return fileio.read_model_file(config.model_file)
+        model = fileio.read_model_file(config.model_file)
+        if config.Ts is not None and config.Ts != model.Ts:
+            raise ValueError(
+                f"ts {config.Ts:g} differs from the Ts {model.Ts:g} of model file "
+                f"{config.model_file}; the model file sets the sampling period"
+            )
+        return model
     raise ValueError("a generator model is required: give --proto or --model-file")
 
 
@@ -501,6 +507,7 @@ _COMMANDS = {
     "simulate": {**_GENERATOR, "ts": None},
     "identify": _ESTIMATE | dict.fromkeys(("dataset", "delays", "q", "p", "order", "order_tol")),
     "mc-compare": _ESTIMATE | _GENERATOR | {"mode": MC_MODES, "mc_runs": None},
+    "compile-priors": {"ts": None, "ell": None},
 }
 
 # prototype parameter key -> the prototypes that take it
@@ -584,9 +591,11 @@ def _cmd_identify(args: argparse.Namespace) -> int:
 
 
 def _cmd_compile_priors(args: argparse.Namespace) -> int:
-    priors = fileio.priors_from_file(args.priors_file)
-    indexing = MarkovIndexing(n_y=args.ny, n_u=args.nu, ell=args.ell)
-    cs = compile_priors(priors, indexing, args.Ts)
+    config = _config_from_args(args)
+    if config.Ts is None or config.ell is None:
+        raise ValueError("compile-priors needs the sampling period --ts and the horizon --ell")
+    indexing = MarkovIndexing(n_y=args.ny, n_u=args.nu, ell=config.ell)
+    cs = compile_priors(config.priors, indexing, config.Ts)
     report = cs.consistency
     fileio.write_constraints_csv(args.output, cs)
     print(
@@ -620,8 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--priors", dest="priors_file", required=True)
     comp.add_argument("--ny", type=int, required=True, help="number of outputs")
     comp.add_argument("--nu", type=int, required=True, help="number of inputs")
-    comp.add_argument("--ell", type=int, required=True, help="Markov horizon")
-    comp.add_argument("--ts", dest="Ts", type=float, required=True)
     comp.add_argument("--output", required=True, help="constraints CSV to write")
     comp.set_defaults(func=_cmd_compile_priors)
     mc = sub.add_parser("mc-compare", help="Monte Carlo comparison with vs without priors")

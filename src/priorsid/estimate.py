@@ -178,7 +178,7 @@ def _result(
     cs: EqualityConstraintSet | None = None,
 ) -> EstimateResult:
     """The estimate m_hat with its data residual and, given ``cs``, its constraint residual."""
-    constraint_residual = 0.0 if cs is None else np.linalg.norm(cs.A_eq @ m_hat - cs.b_eq)
+    constraint_residual = 0.0 if cs is None else np.linalg.norm(cs.residual(m_hat))
     return EstimateResult(
         markov=reg.indexing.unvec(m_hat, reg.Ts),
         residual_norm=float(np.linalg.norm(reg.Phi @ m_hat - reg.Yvec)),
@@ -335,21 +335,29 @@ def ls_equality_weighted(
     include the columns no row touches.  With m = V1 a + V2 z and
     a = a0 + S^-1 e / weight, a0 = S^-1 U1^T b_eq, the objective is
     ||K e + G2 z - d||^2 + ||e||^2 up to a constant, where G = Phi V,
-    K = G1 S^-1 / weight and d = Yvec - G1 a0.  Only K's left singular
-    pairs Uk, sk are needed, with K^T Uk = Vk diag(sk): from the thin SVD
-    of K when K is tall, and when K is wide (fewer data rows than the
-    constraint rank) from the SVD of the square R^T of K^T = Q R, since
-    K = R^T Q^T; neither Q nor Vk is formed.  z solves the least squares
-    of W (G2 z - d), W = I - Uk diag(1 - (1 + sk^2)^-1/2) Uk^T, and then
-    e = K^T Uk diag(1 / (1 + sk^2)) Uk^T (d - G2 z).
+    K = G1 S^-1 / weight and d = Yvec - G1 a0 (Van Loan 1985).  The best
+    e for a given z is K^T (I + K K^T)^-1 (d - G2 z), which leaves
+    (d - G2 z)^T (I + K K^T)^-1 (d - G2 z) to minimize over z: z solves
+    the least squares of W (G2 z - d) for any W with
+    W^T W = (I + K K^T)^-1.
 
-    Diagnostics: ``rank`` is the sum of the block ranks plus the rank of
-    W G2; ``cond`` is the largest over the smallest of weight * S and the
-    singular values of W G2, which at the default weight agrees with the
-    condition number of the stacked matrix.  Contradictory priors do not
-    abort: the solver blends them and reports the leftover constraint
-    residual with a warning.  ``weight=None`` applies
-    :func:`default_weight`.
+    * K wide (fewer data rows than the constraint rank, as with short
+      data): one symmetric eigensolve K K^T = V diag(lam) V^T, with
+      rounding's negative lam clipped to 0, gives W = diag(h) V^T,
+      h = (1 + lam)^-1/2, and e = K^T V diag(h) (W d - W G2 z).
+      Only the data-space matrix is factored, never K itself.
+    * K tall: the thin SVD K = Uk diag(sk) Vk^T gives
+      W = I - Uk diag(1 - (1 + sk^2)^-1/2) Uk^T, formed in place of G2,
+      and e = Vk diag(sk / (1 + sk^2)) Uk^T (d - G2 z).
+
+    Both W are orthogonally equivalent to (I + K K^T)^-1/2, so W G2 has
+    the same singular values either way.  Diagnostics: ``rank`` is the
+    sum of the block ranks plus the rank of W G2; ``cond`` is the
+    largest over the smallest of weight * S and the singular values of
+    W G2, which at the default weight agrees with the condition number
+    of the stacked matrix.  Contradictory priors do not abort: the
+    solver blends them and reports the leftover constraint residual with
+    a warning.  ``weight=None`` applies :func:`default_weight`.
     """
     _check_constrained(reg, cs)
     if weight is None:
@@ -366,22 +374,26 @@ def ls_equality_weighted(
     K, G2, s1, a0, lift = _block_coordinates(reg, cs)  # K is G1 until it is scaled
     d = reg.Yvec - K @ a0
     K /= weight * s1
-    if K.shape[0] < K.shape[1]:  # K = R^T Q^T: R^T holds K's left singular pairs
-        Uk, sk = np.linalg.svd(np.linalg.qr(K.T, mode="r").T)[:2]
-        KtU = K.T @ Uk
+    if K.shape[0] < K.shape[1]:
+        lam, V = np.linalg.eigh(K @ K.T)
+        h = 1.0 / np.sqrt(1.0 + np.maximum(lam, 0.0))
+        W = h[:, None] * V.T
+        G2, Wd = W @ G2, W @ d  # now W G2
+        z, _, rank_z, sz = np.linalg.lstsq(G2, Wd, rcond=None)
+        e = K.T @ (V @ (h * (Wd - G2 @ z)))
     else:
         Uk, sk, Vkt = np.linalg.svd(K, full_matrices=False)
+        del K  # K, Uk and G2 go as soon as they are used: they set the memory peak
         KtU = np.multiply(Vkt.T, sk, out=Vkt.T)  # Vk diag(sk), in Vkt's memory
-    del K  # K, Uk and G2 go as soon as they are used: they set the memory peak
-    hk = np.hypot(1.0, sk)
-    shrink = sk**2 / (hk * (hk + 1.0))  # 1 - 1 / hk without cancellation
-    P, q = Uk.T @ G2, Uk.T @ d
-    G2 -= Uk @ (shrink[:, None] * P)  # now W G2
-    Wd = d - Uk @ (shrink * q)
-    del Uk
-    z, _, rank_z, sz = np.linalg.lstsq(G2, Wd, rcond=None)
+        hk = np.hypot(1.0, sk)
+        shrink = sk**2 / (hk * (hk + 1.0))  # 1 - 1 / hk without cancellation
+        P, q = Uk.T @ G2, Uk.T @ d
+        G2 -= Uk @ (shrink[:, None] * P)  # now W G2
+        Wd = d - Uk @ (shrink * q)
+        del Uk
+        z, _, rank_z, sz = np.linalg.lstsq(G2, Wd, rcond=None)
+        e = KtU @ ((q - P @ z) / hk**2)  # Uk^T (d - G2 z) = q - P z
     del G2
-    e = KtU @ ((q - P @ z) / hk**2)  # Uk^T (d - G2 z) = q - P z
     m_hat = lift(a0 + e / (weight * s1), z)
     singular_values = np.sort(np.concatenate([weight * s1, sz]))[::-1]
     diagnostics = _lstsq_diagnostics(reg.Phi, singular_values, len(s1) + rank_z)

@@ -268,6 +268,12 @@ _PRIOR_TYPES = {
 
 
 def _integer(value) -> int:
+    """An integral number, or its text: 30, 30.0, "30" and "30.0" but not 2.7."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            value = float(value)
     number = int(value)
     if number != float(value):
         raise ValueError(f"{value!r} is not an integer")

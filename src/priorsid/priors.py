@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -38,6 +38,7 @@ __all__ = [
     "ZeroChannel",
     "PriorSpec",
     "EqualityConstraintSet",
+    "ConstraintBlock",
     "BlockSvd",
     "ConsistencyReport",
     "ConstraintCompileWarning",
@@ -247,8 +248,21 @@ PriorSpec = Union[
 ]
 
 
+class ConstraintBlock(NamedTuple):
+    """Diagonal block ``A = A_eq[rows][:, cols]`` of a constraint set.
+
+    ``cols`` holds every lag of the block's channels in ascending order,
+    so ``A.reshape(len(rows), ell + 1, -1)[:, k, c]`` is lag k of the
+    block's c-th channel.  The arrays are read-only.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    A: np.ndarray
+
+
 class BlockSvd(NamedTuple):
-    """SVD ``A_eq[rows][:, cols] = U diag(s) Vt`` of one diagonal block of A_eq.
+    """SVD ``A = U diag(s) Vt`` of one :class:`ConstraintBlock` of a set.
 
     ``Vt`` is square, so its rows from ``rank`` on span the block's null
     space.  ``rank`` applies the rule of :func:`_rank` to ``s``, and
@@ -265,46 +279,90 @@ class BlockSvd(NamedTuple):
     a0: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EqualityConstraintSet:
     """Rows A_eq m = b_eq on the stacked Markov vector, with provenance tags.
 
-    The set keeps read-only copies of A_eq and b_eq.  ``copy=False`` hands
-    fresh float arrays over instead: they are frozen in place and must not
-    be written through any other reference.
+    The rows are held as the diagonal blocks of A_eq (``blocks``, one
+    :class:`ConstraintBlock` per block of :func:`_blocks`, by lowest
+    channel): a block is a set of channels joined by shared rows, its
+    columns are all lags of those channels, and A_eq is zero outside
+    the blocks.  ``A_eq`` itself is derived from them on first access.
+    A set built from a dense ``A_eq`` finds its blocks from the channels
+    each row touches and keeps copies of them and of b_eq; the arrays
+    are read-only.
     """
 
-    A_eq: np.ndarray
     b_eq: np.ndarray
     indexing: MarkovIndexing
     provenance: tuple[str, ...]
-    copy: InitVar[bool] = True
+    blocks: tuple[ConstraintBlock, ...]
 
-    def __post_init__(self, copy: bool) -> None:
-        A = np.asarray(self.A_eq, dtype=float)
-        b = np.asarray(self.b_eq, dtype=float).reshape(-1)
-        if A.ndim != 2 or A.shape[1] != self.indexing.size:
-            raise ValueError(
-                f"A_eq has shape {A.shape}, expected (*, {self.indexing.size})"
-            )
+    def __init__(
+        self,
+        A_eq: np.ndarray,
+        b_eq: np.ndarray,
+        indexing: MarkovIndexing,
+        provenance: tuple[str, ...],
+    ) -> None:
+        A = np.asarray(A_eq, dtype=float)
+        b = np.array(b_eq, dtype=float).reshape(-1)
+        if A.ndim != 2 or A.shape[1] != indexing.size:
+            raise ValueError(f"A_eq has shape {A.shape}, expected (*, {indexing.size})")
         if b.shape[0] != A.shape[0]:
             raise ValueError(f"b_eq has length {b.shape[0]} but A_eq has {A.shape[0]} rows")
-        if len(self.provenance) != A.shape[0]:
+        if len(provenance) != A.shape[0]:
             raise ValueError("provenance must carry one tag per row")
-        if A.shape[0] and not np.all(np.any(A != 0.0, axis=1)):
+        n_ch = indexing.n_y * indexing.n_u
+        touches = A.reshape(A.shape[0], indexing.ell + 1, n_ch).any(axis=1)
+        if not touches.any(axis=1).all():
             raise ValueError("every constraint row must have at least one nonzero entry")
-        if copy:
-            A = A.copy()
-            b = b.copy()
-        A.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "A_eq", A)
-        object.__setattr__(self, "b_eq", b)
-        object.__setattr__(self, "provenance", tuple(self.provenance))
+        blocks = [
+            ConstraintBlock(rows, cols, A[np.ix_(rows, cols)])
+            for rows, cols in _blocks(touches, indexing.ell)
+        ]
+        self._hold(blocks, b, indexing, provenance)
+
+    @classmethod
+    def _from_blocks(
+        cls,
+        blocks: list[ConstraintBlock],
+        b_eq: np.ndarray,
+        indexing: MarkovIndexing,
+        provenance: tuple[str, ...],
+    ) -> EqualityConstraintSet:
+        """A set that takes over fresh blocks and b_eq, which no one else may write."""
+        cs = object.__new__(cls)
+        cs._hold(blocks, b_eq, indexing, provenance)
+        return cs
+
+    def _hold(self, blocks, b_eq, indexing, provenance) -> None:
+        for array in (b_eq, *(array for block in blocks for array in block)):
+            array.setflags(write=False)
+        object.__setattr__(self, "b_eq", b_eq)
+        object.__setattr__(self, "indexing", indexing)
+        object.__setattr__(self, "provenance", tuple(provenance))
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     @property
     def n_rows(self) -> int:
-        return self.A_eq.shape[0]
+        return self.b_eq.shape[0]
+
+    @functools.cached_property
+    def A_eq(self) -> np.ndarray:
+        """The dense rows, assembled from ``blocks`` on first access; read-only."""
+        A = np.zeros((self.n_rows, self.indexing.size))
+        for rows, cols, block in self.blocks:
+            A[np.ix_(rows, cols)] = block
+        A.setflags(write=False)
+        return A
+
+    def residual(self, m: np.ndarray) -> np.ndarray:
+        """A_eq m - b_eq for a stacked Markov vector m, block by block."""
+        r = np.empty(self.n_rows)
+        for rows, cols, A in self.blocks:
+            r[rows] = A @ m[cols] - self.b_eq[rows]
+        return r
 
     @functools.cached_property
     def consistency(self) -> ConsistencyReport:
@@ -317,7 +375,7 @@ class ConsistencyReport:
     """Rank diagnostics and block factorizations of a constraint set.
 
     ``sigma_max`` is 0 for an empty set.  ``blocks`` holds one
-    :class:`BlockSvd` per block of :func:`_blocks`, left out of ==.
+    :class:`BlockSvd` per block of the set, left out of ==.
     """
 
     rank: int
@@ -381,8 +439,10 @@ def compile_priors(
     line breaks of numpy's array repr (in a ``DcGainMatrix``) and the
     indentation after them become one space.
 
-    Each prior's rows are dense over the lags of its channels and are added
-    to A_eq through its ``(rows, ell + 1, n_u, n_y)`` view.  A recurrence
+    Each prior's rows are dense over the lags of its channels.  Which
+    channels each row touches gives the blocks of :func:`_blocks`, and
+    each block's dense sub-matrix is filled through its
+    ``(rows, ell + 1, channels)`` view; no dense A_eq is formed.  A recurrence
     prior that compiles to the lone M_0 row (its horizon is too short for
     any recurrence row, and no seed row fits or none was given) triggers a
     :class:`ConstraintCompileWarning`.  A row that cancels to zero, as in
@@ -429,22 +489,40 @@ def compile_priors(
                 stacklevel=2,
             )
 
+    # each part's terms summed per channel, as if added into a zero A_eq
     n_rows = sum(len(rhs) for _, _, rhs in parts)
-    A_eq, b_eq, tags = np.zeros((n_rows, indexing.size)), np.empty(n_rows), []
-    lags = A_eq.reshape(n_rows, ell + 1, n_u, n_y)  # lags[r, k, j - 1, i - 1] is M_k(i, j)
+    touches = np.zeros((n_rows, n_y * n_u), dtype=bool)
+    b_eq, tags, sums = np.empty(n_rows), [], []
     for tag, terms, rhs in parts:
-        rows = slice(len(tags), len(tags) + len(rhs))
+        rows = np.arange(len(tags), len(tags) + len(rhs))
+        channels = {}
         for i, j, block in terms:
-            lags[rows, :, j - 1, i - 1] += block
+            ch = (j - 1) * n_y + (i - 1)  # column ch of lag k is k * n_y * n_u + ch
+            channels[ch] = channels.get(ch, 0.0) + block
+        for ch, block in channels.items():
+            touches[rows, ch] = block.any(axis=1)
+            sums.append((rows, ch, block))
         b_eq[rows] = rhs
         tags += [tag] * len(rhs)
-    del parts  # A_eq is then the one large array held
-    zero = ~A_eq.any(axis=1)
+    del parts
+    zero = ~touches.any(axis=1)
     if zero.any():
         raise ValueError(f"{tags[zero.argmax()]} compiles to an all-zero constraint row")
-    return EqualityConstraintSet(
-        A_eq=A_eq, b_eq=b_eq, indexing=indexing, provenance=tuple(tags), copy=False
-    )
+
+    blocks = []
+    block_of = np.zeros(n_y * n_u, dtype=int)  # channel -> its block
+    slot = np.zeros(n_y * n_u, dtype=int)  # channel -> its place among its block's channels
+    local = np.empty(n_rows, dtype=int)  # row -> its place among its block's rows
+    for rows, cols in _blocks(touches, ell):
+        chans = cols[: len(cols) // (ell + 1)]
+        block_of[chans], slot[chans] = len(blocks), np.arange(len(chans))
+        local[rows] = np.arange(len(rows))
+        blocks.append(ConstraintBlock(rows, cols, np.zeros((len(rows), len(cols)))))
+    for rows, ch, block in sums:
+        hit = touches[rows, ch]  # a row that is zero on ch need not lie in its block
+        A = blocks[block_of[ch]].A
+        A.reshape(len(A), ell + 1, -1)[local[rows[hit]], :, slot[ch]] = block[hit]
+    return EqualityConstraintSet._from_blocks(blocks, b_eq, indexing, tuple(tags))
 
 
 def _rank(s: np.ndarray, shape: tuple[int, ...]) -> int:
@@ -452,22 +530,22 @@ def _rank(s: np.ndarray, shape: tuple[int, ...]) -> int:
     return int(np.count_nonzero(s > s[0] * max(shape) * np.finfo(float).eps)) if s.size else 0
 
 
-def _blocks(cs: EqualityConstraintSet) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Row and column indices of the diagonal blocks of A_eq, by lowest channel.
+def _blocks(touches: np.ndarray, ell: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Row and column indices of the diagonal blocks of a set, by lowest channel.
 
-    Column c holds channel c % (n_y * n_u), so a row's channels are read
-    from its (ell + 1, n_y * n_u) view.  Channels joined by a chain of
-    rows share a block, whose columns are all lags of its channels; each
-    row has a nonzero, so it lies in one block.
+    ``touches[r, c]`` tells whether row r has a nonzero on channel c, the
+    channel of columns c, c + n_ch, .., c + ell n_ch (n_ch =
+    ``touches.shape[1]``).  Channels joined by a chain of rows share a
+    block, whose columns are all lags of its channels; each row touches
+    a channel, so it lies in one block.
     """
-    n_ch = cs.indexing.n_y * cs.indexing.n_u
-    touches = cs.A_eq.reshape(cs.n_rows, cs.indexing.ell + 1, n_ch).any(axis=1)
+    n_ch = touches.shape[1]
     joined = (touches.T.astype(int) @ touches > 0) | np.eye(n_ch, dtype=bool)
     for _ in range(n_ch.bit_length()):  # each squaring doubles the chain length covered
         joined = joined.astype(int) @ joined > 0
     label = joined.argmax(axis=1)  # lowest channel of each block
     row_label = label[touches.argmax(axis=1)]
-    col_label = label[np.arange(cs.indexing.size) % n_ch]
+    col_label = label[np.arange((ell + 1) * n_ch) % n_ch]
     return [
         (np.flatnonzero(row_label == lab), np.flatnonzero(col_label == lab))
         for lab in np.unique(row_label)
@@ -477,7 +555,7 @@ def _blocks(cs: EqualityConstraintSet) -> list[tuple[np.ndarray, np.ndarray]]:
 def check_consistency(cs: EqualityConstraintSet) -> ConsistencyReport:
     """Rank, redundant rows, feasibility, sigma_max and block factorizations.
 
-    Takes one SVD per block of :func:`_blocks`, with full matrices only for
+    Takes one SVD per stored block of ``cs.blocks``, with full matrices only for
     wide blocks, so Vt is square.  Each block's b is scaled exactly, by a
     power of 2, to max |b| in [0.5, 1); its minimum-norm solution is
     x = V1 a0 with a0 = S1^-1 U1^T b over the block's ``rank`` leading
@@ -492,8 +570,8 @@ def check_consistency(cs: EqualityConstraintSet) -> ConsistencyReport:
     """
     rank, sigma_max, infeasible, redundant, blocks = 0, 0.0, False, [], []
     eps = np.finfo(float).eps
-    for rows, cols in _blocks(cs):
-        A, b = cs.A_eq[np.ix_(rows, cols)], cs.b_eq[rows]
+    for rows, cols, A in cs.blocks:
+        b = cs.b_eq[rows]
         U, s, Vt = np.linalg.svd(A, full_matrices=len(rows) < len(cols))
         block_rank = _rank(s, A.shape)
         e = np.frexp(np.abs(b).max())[1]
@@ -512,7 +590,7 @@ def check_consistency(cs: EqualityConstraintSet) -> ConsistencyReport:
         rank += block_rank
         sigma_max = max(sigma_max, sigma)
         a0 = np.ldexp(a0, e)
-        for array in (rows, cols, s, Vt, a0):
+        for array in (s, Vt, a0):
             array.setflags(write=False)
         blocks.append(BlockSvd(rows, cols, s, Vt, block_rank, a0))
     return ConsistencyReport(
@@ -521,6 +599,5 @@ def check_consistency(cs: EqualityConstraintSet) -> ConsistencyReport:
 
 
 def constraint_residual(cs: EqualityConstraintSet, markov: MarkovSequence) -> float:
-    """Euclidean norm of A_eq vec(markov) - b_eq."""
-    m = cs.indexing.vec(markov)
-    return float(np.linalg.norm(cs.A_eq @ m - cs.b_eq))
+    """Euclidean norm of A_eq vec(markov) - b_eq, taken block by block."""
+    return float(np.linalg.norm(cs.residual(cs.indexing.vec(markov))))

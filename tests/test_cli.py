@@ -194,6 +194,29 @@ class TestSimulateCommand:
         assert code == EXIT_OK
         assert load_dataset(out, Ts=1.0).n_samples == 10
 
+    @pytest.mark.parametrize("command", ["simulate", "mc-compare"])
+    @pytest.mark.parametrize("ts, code", [("1", EXIT_OK), ("1.0", EXIT_OK), ("5", EXIT_INPUT)])
+    def test_ts_next_to_model_file_must_match_it(self, tmp_path, capsys, command, ts, code):
+        # the model file sets Ts; a ts that differs from it was once ignored
+        from priorsid.fileio import write_model_file
+
+        model_path = tmp_path / "m.txt"
+        write_model_file(model_path, zoh_first_order(2.0, 10.0, 1.0))
+        out = tmp_path / "out"
+        argv = [command, "--model-file", str(model_path), "--ts", ts, "--n", "30"]
+        if command == "simulate":
+            argv += ["--output", str(out)]
+        else:
+            priors = write_priors_file(
+                tmp_path, [{"type": "first_order_decay", "i": 1, "j": 1, "tau": 10.0}]
+            )
+            argv += ["--priors", str(priors), "--ell", "10", "--mc-runs", "2",
+                     "--output-dir", str(out)]
+        assert main(argv) == code
+        if code == EXIT_INPUT:
+            assert "differs from the Ts 1 of model file" in capsys.readouterr().err
+            assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -632,6 +655,28 @@ class TestCompilePriorsCommand:
         assert rows[-1][0] == "ZeroChannel(i=1; j=2)"
 
 
+    @pytest.mark.parametrize(
+        "ell, ts, code",
+        [("3.0", "1", EXIT_OK), ("3", "1e0", EXIT_OK), ("2.7", "1", EXIT_INPUT),
+         ("3", "fast", EXIT_INPUT), ("-3", "1", EXIT_INPUT), (None, "1", EXIT_INPUT),
+         ("3", None, EXIT_INPUT)],
+    )
+    def test_ell_and_ts_read_like_config_keys(self, tmp_path, capsys, ell, ts, code):
+        # the same rule as identify: "3.0" is a valid ell, "2.7" is not
+        priors = write_priors_file(tmp_path, [{"type": "zero_channel", "i": 1, "j": 1}])
+        out = tmp_path / "cons.csv"
+        argv = ["compile-priors", "--priors", str(priors), "--ny", "1", "--nu", "1",
+                "--output", str(out)]
+        argv += [] if ell is None else ["--ell", ell]
+        argv += [] if ts is None else ["--ts", ts]
+        assert main(argv) == code
+        assert out.exists() == (code == EXIT_OK)
+        if code == EXIT_OK:
+            assert len(out.read_text().splitlines()) == 1 + 4
+        elif ell is None or ts is None:
+            assert "--ts" in capsys.readouterr().err
+
+
 class TestMcCompare:
     def base_config(self):
         return RunConfig(
@@ -779,7 +824,15 @@ class TestComputedOnce:
         kernel = ((60 - 8) * 2, cs.consistency.rank)
         assert svd_shapes == blocks + [kernel, (result.q * 2, result.p * 2)]
 
-    def test_weighted_pipeline_on_short_data_factors_no_wide_matrix(self, svd_shapes):
+    def test_weighted_pipeline_on_short_data_factors_no_wide_matrix(self, svd_shapes, monkeypatch):
+        eigh_shapes = []
+        original = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            eigh_shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
         rng = np.random.default_rng(3)
         data = IdentDataset(
             U=rng.standard_normal((14, 2)), Y=rng.standard_normal((14, 2)), Ts=1.0
@@ -791,8 +844,9 @@ class TestComputedOnce:
         blocks = [(len(block.rows), len(block.cols)) for block in cs.consistency.blocks]
         rows = (14 - 8) * 2
         assert rows < cs.consistency.rank  # K is wide: 12 data rows, rank 18
-        # the solver factors the square triangle R of K^T = Q R, never the wide K
-        assert svd_shapes == blocks + [(rows, rows), (result.q * 2, result.p * 2)]
+        # the solver takes one eigh of the square K K^T and no SVD of the wide K
+        assert svd_shapes == blocks + [(result.q * 2, result.p * 2)]
+        assert eigh_shapes == [(rows, rows)]
 
     def test_exact_pipeline_factors_only_blocks_and_hankel(self, svd_shapes):
         rng = np.random.default_rng(3)
@@ -864,6 +918,10 @@ class TestFlagsReadLikeConfigKeys:
         "seed": ["7", "-1", "seven"],
         "mc_runs": ["6", "six"],
     }
+
+    @pytest.mark.parametrize("text", ["30", "30.0", "3e1"])
+    def test_integral_text_reads_like_the_number(self, text):
+        assert _config_or_exit_code(["identify", f"--ell={text}"]) == repr(RunConfig(ell=30))
 
     def test_cases_cover_every_flag(self):
         from priorsid.cli import _FLAGS

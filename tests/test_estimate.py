@@ -686,7 +686,10 @@ class TestEqualityWeighted:
                           GainRatio(i=1, j=1, p=2, q=1, ratio=0.5)],
     }
 
-    @pytest.mark.parametrize("weight", [1e3, None, 1e8])
+    # small weights leave K K^T with eigenvalues up to 1/w^2 times larger than 1
+    SHORT_DATA_WEIGHTS = [1e-12, 1e-6, 1.0, 1e3, None, 1e8]
+
+    @pytest.mark.parametrize("weight", SHORT_DATA_WEIGHTS)
     @pytest.mark.parametrize("rows", [6, 12, 20])
     @pytest.mark.parametrize("name", list(SHORT_DATA_PRIORS))
     def test_short_data_matches_50_digit_solution(self, name, rows, weight):
@@ -700,13 +703,28 @@ class TestEqualityWeighted:
         priors=short_data_prior_sets(),
         rows=st.sampled_from([6, 12, 20]),
         seed=st.integers(0, 2**32 - 1),
-        weight=st.sampled_from([1e3, None, 1e8]),
+        weight=st.sampled_from(SHORT_DATA_WEIGHTS),
     )
     def test_short_data_matches_50_digit_solution_on_random_sets(self, priors, rows, seed, weight):
         idx = MarkovIndexing(n_y=2, n_u=2, ell=8)
         cs = compile_quietly(priors, idx)
         assume(idx.size - cs.consistency.rank <= rows < cs.consistency.rank)
         assert_matches_50_digit_solution(cs, rows, np.random.default_rng(seed), weight)
+
+    def test_short_data_with_duplicated_rows_at_small_weight(self):
+        # K K^T is singular: a Cholesky of I + K K^T failed here with
+        # LinAlgError at w=1e-9, while its eigendecomposition stays usable
+        idx = MarkovIndexing(n_y=2, n_u=2, ell=8)
+        cs = compile_priors(self.SHORT_DATA_PRIORS["coupled"], idx, Ts=1.0)
+        rng = np.random.default_rng(5)
+        Phi, y = rng.standard_normal((6, idx.size)), rng.standard_normal(6)
+        reg = FirRegression(Phi=np.vstack([Phi, Phi]), Yvec=np.concatenate([y, y]),
+                            indexing=idx, Ts=1.0)
+        assert reg.Phi.shape[0] < cs.consistency.rank
+        result = ls_equality_weighted(reg, cs, 1e-9)
+        m = idx.vec(result.markov)
+        m_ref = mp_weighted_solution(reg.Phi, reg.Yvec, cs.A_eq, cs.b_eq, 1e-9)
+        assert np.linalg.norm(m - m_ref) <= 1e-9 * np.linalg.norm(m_ref)
 
     def test_diagnostics_match_stacked_at_default_weight(self):
         rng = np.random.default_rng(19)

@@ -26,6 +26,9 @@ data = IdentDataset(U=U, Y=simulate(plant, U) + 0.1 * rng.standard_normal((60, 1
 priors = [FirstOrderDecay(i=1, j=1, tau=3.0), DcGain(i=1, j=1, value=2.0)]
 for mode in ("exact", "weighted"):
     identify_pipeline(data, priors, ell=15, mode=mode)
+# 5 data rows against a constraint rank of 16: the weighted solve's K is wide
+short = IdentDataset(U=U[:20], Y=data.Y[:20], Ts=1.0)
+identify_pipeline(short, priors, ell=15, mode="weighted")
 U2 = rng.standard_normal((80, 2))
 data2 = IdentDataset(U=U2, Y=rng.standard_normal((80, 2)), Ts=1.0)
 for mode in ("exact", "weighted"):

@@ -34,7 +34,7 @@ from priorsid import (
     prototype_statespace,
     zoh_second_order,
 )
-from priorsid.priors import _blocks, _rank
+from priorsid.priors import _rank
 from helpers import (
     compile_quietly,
     dict_compile_priors,
@@ -310,17 +310,26 @@ class TestCompile:
     @settings(deadline=None, max_examples=300)
     @given(case=prior_sets(every_kind=True), Ts=st.floats(0.1, 5.0))
     def test_matches_dict_oracle(self, case, Ts):
-        # A_eq, b_eq, provenance, warnings and blocks equal the row-by-row
-        # compile and the np.nonzero block finder bit for bit; so do errors
+        # A_eq (derived from the blocks), b_eq, provenance, warnings and the
+        # blocks equal the row-by-row compile and the np.nonzero block finder
+        # bit for bit; so do errors
         priors, idx = case
+
+        def stored_blocks(cs):
+            return [(r.tolist(), c.tolist(), A.tobytes()) for r, c, A in cs.blocks]
+
+        def oracle_blocks(cs):
+            return [(r.tolist(), c.tolist(), cs.A_eq[np.ix_(r, c)].tobytes())
+                    for r, c in nonzero_blocks(cs)]
+
         results = []
-        for compile_, blocks in ((compile_priors, _blocks), (dict_compile_priors, nonzero_blocks)):
+        for compile_, blocks in ((compile_priors, stored_blocks),
+                                 (dict_compile_priors, oracle_blocks)):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 try:
                     cs = compile_(priors, idx, Ts)
-                    out = (cs.A_eq.tobytes(), cs.b_eq.tobytes(), cs.provenance,
-                           [(r.tolist(), c.tolist()) for r, c in blocks(cs)])
+                    out = (cs.A_eq.tobytes(), cs.b_eq.tobytes(), cs.provenance, blocks(cs))
                 except ValueError as exc:
                     out = str(exc)
             results.append((out, [str(w.message) for w in caught]))
@@ -386,21 +395,22 @@ class TestCheckConsistency:
         assert report.rank == cs.n_rows and not report.infeasible
         # (7 decay rows + 1 ratio row) x 2 channels, then 7 rows x 1 channel
         assert shapes == [(8, 14), (7, 7)]
-        assert [(len(r), len(c)) for r, c in _blocks(cs)] == shapes
+        assert [block.A.shape for block in cs.blocks] == shapes
 
     def test_blocks_partition_rows_by_channel(self):
         idx = MarkovIndexing(n_y=2, n_u=3, ell=2)
         priors = [ZeroChannel(i=2, j=3), GainRatio(i=1, j=1, p=2, q=2, ratio=2.0),
                   DcGain(i=1, j=2, value=1.0), GainRatio(i=2, j=2, p=1, q=3, ratio=0.5)]
         cs = compile_priors(priors, idx, Ts=1.0)
-        blocks = _blocks(cs)
-        assert sorted(int(r) for rows, _ in blocks for r in rows) == list(range(cs.n_rows))
-        channels = [sorted({int(c) % 6 for c in cols}) for _, cols in blocks]
+        blocks = cs.blocks
+        assert sorted(int(r) for rows, _, _ in blocks for r in rows) == list(range(cs.n_rows))
+        channels = [sorted({int(c) % 6 for c in cols}) for _, cols, _ in blocks]
         # channel (i, j) is column (j - 1) * n_y + (i - 1) of each lag
         assert channels == [[0, 3, 4], [2], [5]]
-        for (rows, cols), chans in zip(blocks, channels):
+        for (rows, cols, A), chans in zip(blocks, channels):
             outside = np.setdiff1d(np.arange(idx.size), cols)
             assert not cs.A_eq[np.ix_(rows, outside)].any()
+            assert np.array_equal(cs.A_eq[np.ix_(rows, cols)], A)
             assert len(cols) == len(chans) * (idx.ell + 1)
 
     def test_empty_set_report(self):
@@ -425,8 +435,7 @@ class TestBlockProperties:
     @given(case=prior_sets(), pick=st.integers(0, 20), k=st.integers(-6, 15))
     def test_verdict_does_not_depend_on_block_scale(self, case, pick, k):
         cs = compile_quietly(*case)
-        blocks = _blocks(cs)
-        rows, _ = blocks[pick % len(blocks)]
+        rows = cs.blocks[pick % len(cs.blocks)].rows
         b = cs.b_eq.copy()
         b[rows] *= 10.0**k
         scaled = EqualityConstraintSet(
@@ -588,8 +597,9 @@ class TestEqualityConstraintSetValidation:
         assert cs.A_eq[0, 0] == 1.0 and cs.b_eq[0] == 0.0
         assert not cs.A_eq.flags.writeable and not cs.b_eq.flags.writeable
 
-    def test_compile_holds_one_dense_matrix(self):
-        # the prior-heavy benchmark's set: 1084 x 1089, 9.4 MB
+    def test_compile_and_check_stay_in_the_blocks(self):
+        # the prior-heavy benchmark's set: 1084 x 1089, whose dense A_eq is
+        # 9.4 MB; its eight diagonal blocks hold 1.3 MB
         idx = MarkovIndexing(n_y=3, n_u=3, ell=120)
         taus = {(1, 1): 10.0, (1, 3): 6.0, (2, 1): 15.0, (2, 2): 8.0, (3, 2): 20.0, (3, 3): 4.0}
         priors = [FirstOrderDecay(i=i, j=j, tau=tau) for (i, j), tau in taus.items()]
@@ -598,11 +608,14 @@ class TestEqualityConstraintSetValidation:
         tracemalloc.start()
         try:
             cs = compile_priors(priors, idx, Ts=1.0)
+            cs.consistency
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert "A_eq" not in vars(cs)  # the dense view is built only when read
+        assert peak <= 4e6
         assert cs.A_eq.shape == (1084, 1089)
-        assert peak <= 1.2 * cs.A_eq.nbytes
+        assert sum(block.A.nbytes for block in cs.blocks) <= 1.4e6
 
     def test_zero_row_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
