@@ -18,6 +18,10 @@ Both constrained solvers work in the coordinates m = V1 a + V2 z of the
 SVDs of the diagonal blocks of A_eq that the cached consistency check
 keeps (``cs.consistency.blocks``), so each constraint set is factored,
 and its rank decided, once, block by block.
+
+The regressor of the stacked vector is Phi = Psi (x) I_{n_y}, with Psi
+the windowed input.  The solvers read Psi and the output records only:
+no solver forms the dense Phi, which is n_y^2 times the size of Psi.
 """
 
 from __future__ import annotations
@@ -104,19 +108,47 @@ class IdentDataset:
 
 @dataclass(frozen=True)
 class FirRegression:
-    """Stacked regression Phi m ~ Yvec for the truncated impulse response.
+    """Regression Psi M ~ Y of the outputs on the windowed input.
 
-    The block row of time t (one row per output channel) encodes
-    y(t) = sum_{k=0}^{ell} M_k u(t-k) for t = ell .. N-1 under the
-    vectorization fixed by ``indexing``.  :func:`build_fir_regression`
-    gives Phi the structure Psi (x) I_{n_y} up to a fixed column order;
-    the solvers take any dense Phi.
+    Row t - ell of ``Psi`` is [u(t)^T, u(t-1)^T, ..., u(t-ell)^T] and row
+    t - ell of ``Y`` is y(t)^T, for t = ell .. N-1, so that
+    y(t) = sum_{k=0}^{ell} M_k u(t-k) reads Psi M = Y, where the
+    (ell + 1) n_u x n_y matrix M is m.reshape(-1, n_y) under the
+    vectorization fixed by ``indexing``.  The stacked regression
+    Phi m ~ Yvec of the same problem has Phi = Psi (x) I_{n_y}: column c
+    of Phi is column c // n_y of Psi on the rows of output c % n_y.
+    ``Phi`` and ``Yvec`` are derived on each read, for oracles and tests;
+    no solver reads them.
     """
 
-    Phi: np.ndarray
-    Yvec: np.ndarray
+    Psi: np.ndarray
+    Y: np.ndarray
     indexing: MarkovIndexing
     Ts: float
+
+    def __post_init__(self) -> None:
+        idx, rows = self.indexing, len(self.Y)
+        if np.shape(self.Psi) != (rows, (idx.ell + 1) * idx.n_u) or np.shape(self.Y) != (
+            rows, idx.n_y
+        ):
+            raise ValueError(
+                f"Psi {np.shape(self.Psi)} and Y {np.shape(self.Y)} do not fit {idx}: "
+                f"expected (rows, {(idx.ell + 1) * idx.n_u}) and (rows, {idx.n_y})"
+            )
+
+    @property
+    def Phi(self) -> np.ndarray:
+        """The dense regressor Psi (x) I_{n_y}, formed anew on each read."""
+        n_y = self.indexing.n_y
+        Phi = np.zeros((self.Psi.shape[0], n_y, self.Psi.shape[1], n_y))
+        out = np.arange(n_y)
+        Phi[:, out, :, out] = self.Psi
+        return Phi.reshape(self.Y.size, self.indexing.size)
+
+    @property
+    def Yvec(self) -> np.ndarray:
+        """The stacked outputs [y(ell); y(ell + 1); ...], a view of ``Y``."""
+        return self.Y.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -131,15 +163,13 @@ class EstimateResult:
 
 
 def build_fir_regression(data: IdentDataset, ell: int) -> FirRegression:
-    """Assemble the FIR regressor matrix and stacked output vector.
+    """The windowed input Psi and the outputs Y it regresses.
 
-    Needs N > ell samples; each of the N - ell usable times contributes one
-    block row [u(t)^T (x) I, u(t-1)^T (x) I, ..., u(t-ell)^T (x) I] where
-    (x) is the Kronecker product with the n_y identity.  Up to the fixed
-    column order Phi is therefore Psi (x) I_{n_y}, with Psi the windowed
-    input whose row t is [u(t)^T, u(t-1)^T, ..., u(t-ell)^T]; it is built
-    from one sliding-window view of U, written along the diagonal where
-    the output row of the block equals the output index of the column.
+    Needs N > ell samples; each of the N - ell usable times t contributes
+    the row [u(t)^T, u(t-1)^T, ..., u(t-ell)^T] of Psi, copied once, in
+    C order, from one sliding-window view of U, and the row y(t)^T of Y,
+    a view of the dataset's outputs.  The dense stacked regressor
+    Phi = Psi (x) I_{n_y} is not formed.
     """
     if ell < 0:
         raise ValueError(f"ell must be nonnegative, got {ell}")
@@ -147,25 +177,18 @@ def build_fir_regression(data: IdentDataset, ell: int) -> FirRegression:
     if N <= ell:
         raise ValueError(f"need more samples than lags: N={N} <= ell={ell}")
     indexing = MarkovIndexing(n_y=n_y, n_u=n_u, ell=ell)
-    rows = N - ell
-    # Psi[t - ell, k, j] = u_j(t - k)
-    Psi = sliding_window_view(data.U, ell + 1, axis=0)[:, :, ::-1].transpose(0, 2, 1)
-    # Phi[(t - ell) * n_y + a, k * n_y * n_u + j * n_y + c] = u_j(t - k) [a == c]
-    Phi = np.zeros((rows, n_y, ell + 1, n_u, n_y))
-    out = np.arange(n_y)
-    Phi[:, out, :, :, out] = Psi
-    Yvec = data.Y[ell:].reshape(-1)
-    return FirRegression(
-        Phi=Phi.reshape(rows * n_y, indexing.size), Yvec=Yvec, indexing=indexing, Ts=data.Ts
-    )
+    # Psi[t - ell, k * n_u + j] = u_j(t - k)
+    windows = sliding_window_view(data.U, ell + 1, axis=0)[:, :, ::-1].transpose(0, 2, 1)
+    Psi = np.ascontiguousarray(windows).reshape(N - ell, (ell + 1) * n_u)
+    return FirRegression(Psi=Psi, Y=data.Y[ell:], indexing=indexing, Ts=data.Ts)
 
 
-def _lstsq_diagnostics(matrix: np.ndarray, s: np.ndarray, rank: int) -> dict[str, Any]:
+def _lstsq_diagnostics(columns: int, s: np.ndarray, rank: int) -> dict[str, Any]:
     cond = float(s[0] / s[-1]) if s.size and s[-1] > 0 else float("inf")
     return {
         "rank": int(rank),
-        "columns": int(matrix.shape[1]),
-        "rank_deficient": bool(rank < matrix.shape[1]),
+        "columns": int(columns),
+        "rank_deficient": bool(rank < columns),
         "cond": cond if s.size else float("nan"),  # nan: no column to solve for
     }
 
@@ -179,9 +202,10 @@ def _result(
 ) -> EstimateResult:
     """The estimate m_hat with its data residual and, given ``cs``, its constraint residual."""
     constraint_residual = 0.0 if cs is None else np.linalg.norm(cs.residual(m_hat))
+    fit = reg.Psi @ m_hat.reshape(-1, reg.indexing.n_y)  # Phi m_hat, one row per time
     return EstimateResult(
         markov=reg.indexing.unvec(m_hat, reg.Ts),
-        residual_norm=float(np.linalg.norm(reg.Phi @ m_hat - reg.Yvec)),
+        residual_norm=float(np.linalg.norm(fit - reg.Y)),
         constraint_residual=float(constraint_residual),
         method=method,
         diagnostics=diagnostics,
@@ -189,7 +213,7 @@ def _result(
 
 
 def _check_constrained(reg: FirRegression, cs: EqualityConstraintSet) -> None:
-    if reg.Phi.shape[0] == 0:
+    if reg.Psi.shape[0] == 0:
         raise ValueError("empty regression: no usable time samples")
     if cs.indexing != reg.indexing:
         raise ValueError(
@@ -202,53 +226,71 @@ def ls_unconstrained(reg: FirRegression) -> EstimateResult:
     """Minimum-norm least-squares estimate of the Markov vector.
 
     Rank deficiency (the classic symptom of poor excitation) is reported in
-    the diagnostics, never raised.
+    the diagnostics, never raised.  One lstsq of Psi on the n_y columns of
+    Y: the singular values of Phi = Psi (x) I_{n_y} are Psi's, each n_y
+    times, so Phi's rank is n_y rank(Psi), and the cutoff is the one
+    lstsq(Phi, Yvec, rcond=None) would apply, eps max(Phi.shape).
     """
-    if reg.Phi.shape[0] == 0:
+    if reg.Psi.shape[0] == 0:
         raise ValueError("empty regression: no usable time samples")
-    m_hat, _, rank, s = np.linalg.lstsq(reg.Phi, reg.Yvec, rcond=None)
-    return _result(reg, m_hat, "unconstrained", _lstsq_diagnostics(reg.Phi, s, rank))
+    n_y = reg.indexing.n_y
+    rcond = np.finfo(float).eps * n_y * max(reg.Psi.shape)
+    M, _, rank, s = np.linalg.lstsq(reg.Psi, reg.Y, rcond=rcond)
+    diagnostics = _lstsq_diagnostics(reg.indexing.size, s, n_y * rank)
+    return _result(reg, M.reshape(-1), "unconstrained", diagnostics)
 
 
-def _block_coordinates(reg: FirRegression, cs: EqualityConstraintSet):
+def _block_coordinates(reg: FirRegression, cs: EqualityConstraintSet, with_G1: bool = False):
     """Phi in the coordinates m = V1 a + V2 z of the block SVDs of ``cs``.
 
     V1 gathers each block's leading ``rank`` right singular vectors of
     ``cs.consistency.blocks``; V2 gathers each block's remaining ones, then
-    the identity on the channels no row touches.  Returns G1 = Phi V1,
-    G2 = Phi V2, the kept singular values s1, the blocks' a0 joined, and
-    lift(a, z) = V1 a + V2 z.  An untouched channel is copied into G2 as a
-    strided slice of Phi, never through a gathered copy.
+    the identity on the channels no row touches.  Returns G1 = Phi V1
+    (None unless ``with_G1``), G2 = Phi V2, d = Yvec - Phi V1 a0, the kept
+    singular values s1, the blocks' a0 joined, and lift(a, z) = V1 a + V2 z.
+    Phi itself is never formed.  Its column c is column c // n_y of Psi on
+    the rows of output c % n_y, so on the rows of output a a block gives
+    Psi[:, cols_a // n_y] Vt^T[cols_a], cols_a being the block's columns of
+    output a, and an untouched channel (j, a) gives Psi[:, j::n_u]; all
+    other rows are zero.  d takes each block's share of Phi V1 a0 from the
+    same products.
     """
-    n_data, size = reg.Phi.shape
-    n_ch = reg.indexing.n_y * reg.indexing.n_u
-    rank = cs.consistency.rank
-    G1 = np.empty((n_data, rank))
-    G2 = np.empty((n_data, size - rank))
+    n_y, n_u, size = reg.indexing.n_y, reg.indexing.n_u, reg.indexing.size
+    n_data, n_ch, rank = reg.Y.size, n_y * n_u, cs.consistency.rank
+    G1 = np.zeros((n_data, rank)) if with_G1 else None
+    G2 = np.zeros((n_data, size - rank))
+    d = reg.Yvec.copy()
     s1, a0 = np.empty(rank), np.empty(rank)
     free = np.ones(n_ch, dtype=bool)
     spans = []
     at1 = at2 = 0
     for _, cols, s, Vt, r, block_a0 in cs.consistency.blocks:
-        G = reg.Phi[:, cols] @ Vt.T
         span1, span2 = slice(at1, at1 + r), slice(at2, at2 + len(cols) - r)
-        G1[:, span1], G2[:, span2] = G[:, :r], G[:, r:]
+        psi_cols, out = np.divmod(cols, n_y)
+        outputs = np.flatnonzero(np.bincount(out))
+        for a in outputs:
+            on_a = out == a if len(outputs) > 1 else slice(None)  # no copies for one output
+            G = reg.Psi[:, psi_cols[on_a]] @ Vt[:, on_a].T
+            if with_G1:
+                G1[a::n_y, span1] = G[:, :r]
+            G2[a::n_y, span2] = G[:, r:]
+            d[a::n_y] -= G[:, :r] @ block_a0
         s1[span1], a0[span1] = s[:r], block_a0
         free[cols % n_ch] = False
         spans.append((cols, Vt, span1, span2))
         at1, at2 = span1.stop, span2.stop
     free_ch = np.flatnonzero(free)
-    for i, ch in enumerate(free_ch):  # column c holds channel c % n_ch
-        G2[:, at2 + i :: len(free_ch)] = reg.Phi[:, ch::n_ch]
+    for i, ch in enumerate(free_ch):  # channel ch is input ch // n_y on output ch % n_y
+        G2[ch % n_y :: n_y, at2 + i :: len(free_ch)] = reg.Psi[:, ch // n_y :: n_u]
 
     def lift(a: np.ndarray, z: np.ndarray) -> np.ndarray:
         m = np.empty(size)
         for cols, Vt, span1, span2 in spans:
             m[cols] = Vt.T @ np.concatenate([a[span1], z[span2]])
-        m[np.tile(free, reg.indexing.ell + 1)] = z[at2:]
+        m.reshape(-1, n_ch)[:, free] = z[at2:].reshape(reg.indexing.ell + 1, -1)
         return m
 
-    return G1, G2, s1, a0, lift
+    return G1, G2, d, s1, a0, lift
 
 
 def ls_equality_exact(reg: FirRegression, cs: EqualityConstraintSet) -> EstimateResult:
@@ -274,9 +316,7 @@ def ls_equality_exact(reg: FirRegression, cs: EqualityConstraintSet) -> Estimate
             f"{cs.n_rows} rows, redundant rows {list(report.redundant_rows)}); "
             "fix the priors or use the weighted mode"
         )
-    G1, G2, _, a0, lift = _block_coordinates(reg, cs)
-    d = reg.Yvec - G1 @ a0
-    del G1  # G1 and G2 together are as large as Phi, and lstsq copies G2
+    _, G2, d, _, a0, lift = _block_coordinates(reg, cs)
     if G2.shape[1] == 0:
         warnings.warn(
             "constraints fully determine the Markov vector; the data were not used",
@@ -285,7 +325,7 @@ def ls_equality_exact(reg: FirRegression, cs: EqualityConstraintSet) -> Estimate
         )
     z, _, rank, s = np.linalg.lstsq(G2, d, rcond=None)
     m_hat = lift(a0, z)
-    diagnostics = _lstsq_diagnostics(G2, s, rank)
+    diagnostics = _lstsq_diagnostics(G2.shape[1], s, rank)
     diagnostics.update(
         {
             "constraint_rows": cs.n_rows,
@@ -305,16 +345,16 @@ def default_weight(reg: FirRegression, cs: EqualityConstraintSet) -> float:
     a data misfit leaves a constraint residual of order 1 / (w^2 s), so
     the weight is set by the weakest kept direction: every constraint then
     dominates the data, while the stacked problem stays solvable in double
-    precision.  sigma_max(Phi) is the square root of the largest eigenvalue
-    (``eigvalsh``) of the smaller Gram matrix, X X^T when Phi is wide and
-    X^T X otherwise, of X = 2^-e Phi with max |X| in [0.5, 1), scaled back
-    by 2^e; the exact power of 2 keeps the Gram matrix from overflowing or
-    underflowing.
+    precision.  sigma_max(Phi) = sigma_max(Psi), since Phi = Psi (x) I_{n_y};
+    it is the square root of the largest eigenvalue (``eigvalsh``) of the
+    smaller Gram matrix, X X^T when Psi is wide and X^T X otherwise, of
+    X = 2^-e Psi with max |X| in [0.5, 1), scaled back by 2^e; the exact
+    power of 2 keeps the Gram matrix from overflowing or underflowing.
     """
     smax_phi = 0.0
-    if reg.Phi.size:
-        e = int(np.frexp(np.abs(reg.Phi).max())[1])
-        X = np.ldexp(reg.Phi, -e)
+    if reg.Psi.size:
+        e = int(np.frexp(np.abs(reg.Psi).max())[1])
+        X = np.ldexp(reg.Psi, -e)
         gram = X @ X.T if X.shape[0] < X.shape[1] else X.T @ X
         smax_phi = math.ldexp(math.sqrt(np.linalg.eigvalsh(gram)[-1]), e)
     s_min = min((b.s[b.rank - 1] for b in cs.consistency.blocks if b.rank), default=0.0)
@@ -371,8 +411,7 @@ def ls_equality_weighted(
             EstimationWarning,
             stacklevel=2,
         )
-    K, G2, s1, a0, lift = _block_coordinates(reg, cs)  # K is G1 until it is scaled
-    d = reg.Yvec - K @ a0
+    K, G2, d, s1, a0, lift = _block_coordinates(reg, cs, with_G1=True)  # K is G1 until scaled
     K /= weight * s1
     if K.shape[0] < K.shape[1]:
         lam, V = np.linalg.eigh(K @ K.T)
@@ -396,7 +435,7 @@ def ls_equality_weighted(
     del G2
     m_hat = lift(a0 + e / (weight * s1), z)
     singular_values = np.sort(np.concatenate([weight * s1, sz]))[::-1]
-    diagnostics = _lstsq_diagnostics(reg.Phi, singular_values, len(s1) + rank_z)
+    diagnostics = _lstsq_diagnostics(reg.indexing.size, singular_values, len(s1) + rank_z)
     diagnostics["weight"] = float(weight)
     if diagnostics["cond"] > 1e14:
         warnings.warn(

@@ -4,6 +4,7 @@ import functools
 import math
 import re
 import warnings
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -119,11 +120,21 @@ def random_prototype(rng, kind=None):
     )
 
 
+class DenseRegression(NamedTuple):
+    """The stacked regression Phi m ~ Yvec, held dense."""
+
+    Phi: np.ndarray
+    Yvec: np.ndarray
+    indexing: MarkovIndexing
+    Ts: float
+
+
 def dense_fir_regression(data, ell):
     """Oracle FIR regression: one np.kron block per (time, lag) pair.
 
     Block row t is [u(t)^T (x) I, u(t-1)^T (x) I, ..., u(t-ell)^T (x) I];
-    the fast build in priorsid must reproduce it value for value.
+    the ``Phi`` that priorsid derives from Psi must reproduce it value for
+    value, and its solvers must match the dense solves of this Phi.
     """
     N, n_u, n_y = data.n_samples, data.n_u, data.n_y
     indexing = MarkovIndexing(n_y=n_y, n_u=n_u, ell=ell)
@@ -136,7 +147,40 @@ def dense_fir_regression(data, ell):
                 k * n_y * n_u : (k + 1) * n_y * n_u,
             ] = np.kron(data.U[t - k], eye)
     Yvec = data.Y[ell:].reshape(-1)
-    return FirRegression(Phi=Phi, Yvec=Yvec, indexing=indexing, Ts=data.Ts)
+    return DenseRegression(Phi=Phi, Yvec=Yvec, indexing=indexing, Ts=data.Ts)
+
+
+def random_regression(rng, indexing, samples, scale=1.0):
+    """A FirRegression of ``samples`` random rows of Psi (times ``scale``) and Y."""
+    return FirRegression(
+        Psi=scale * rng.standard_normal((samples, (indexing.ell + 1) * indexing.n_u)),
+        Y=rng.standard_normal((samples, indexing.n_y)),
+        indexing=indexing,
+        Ts=1.0,
+    )
+
+
+def block_bases(cs):
+    """Dense V1, V2, s1 and a0 from the block SVDs of ``cs.consistency``.
+
+    V1 holds each block's ``rank`` leading right singular vectors and V2
+    its remaining ones, then the unit vectors of the columns no block
+    holds, so [V1 V2] is orthogonal; s1 and a0 join the blocks' kept
+    singular values and a0.
+    """
+    size = cs.indexing.size
+    kept, null, s1, a0 = [np.zeros((size, 0))], [], [np.zeros(0)], [np.zeros(0)]
+    held = np.zeros(size, dtype=bool)
+    for _, cols, s, Vt, rank, block_a0 in cs.consistency.blocks:
+        V = np.zeros((size, len(cols)))
+        V[cols] = Vt.T
+        kept.append(V[:, :rank])
+        null.append(V[:, rank:])
+        s1.append(s[:rank])
+        a0.append(block_a0)
+        held[cols] = True
+    null.append(np.eye(size)[:, ~held])
+    return np.hstack(kept), np.hstack(null), np.concatenate(s1), np.concatenate(a0)
 
 
 def kkt_solve(Phi, y, A, b):

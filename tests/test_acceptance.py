@@ -45,6 +45,7 @@ from helpers import (
     eig_multiset_distance,
     random_minimal_model,
     random_prototype,
+    random_regression,
     random_stable_model,
     well_conditioned_transform,
 )
@@ -200,7 +201,7 @@ def test_criterion_4_constraint_soundness():
 
 def test_criterion_5_constrained_ls_correctness():
     idx = MarkovIndexing(n_y=1, n_u=1, ell=1)
-    reg = FirRegression(Phi=np.eye(2), Yvec=np.array([1.0, 1.0]), indexing=idx, Ts=1.0)
+    reg = FirRegression(Psi=np.eye(2), Y=np.array([[1.0], [1.0]]), indexing=idx, Ts=1.0)
     cs = EqualityConstraintSet(
         A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([3.0]), indexing=idx,
         provenance=("hand",),
@@ -216,13 +217,7 @@ def test_criterion_5_constrained_ls_correctness():
         n_y, n_u = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         ell = int(rng.integers(1, 11))
         inst = MarkovIndexing(n_y=n_y, n_u=n_u, ell=ell)
-        rows = inst.size + int(rng.integers(1, 12))
-        reg_i = FirRegression(
-            Phi=rng.standard_normal((rows, inst.size)),
-            Yvec=rng.standard_normal(rows),
-            indexing=inst,
-            Ts=1.0,
-        )
+        reg_i = random_regression(rng, inst, (ell + 1) * n_u + int(rng.integers(1, 12)))
         r = int(rng.integers(1, max(2, inst.size // 2)))
         A = rng.standard_normal((r, inst.size))
         b = A @ rng.standard_normal(inst.size)

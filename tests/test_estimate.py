@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -30,21 +31,23 @@ from priorsid import (
     simulate,
 )
 from helpers import (
+    block_bases,
     compile_quietly,
     dense_fir_regression,
     kkt_solve,
     mp_weighted_solution,
     prior_sets,
+    random_regression,
     random_stable_model,
     stacked_weighted_lstsq,
 )
 
 
 def toy_regression():
-    """Phi = I2, Yvec = [1, 1] over a SISO ell=1 indexing."""
+    """Psi = Phi = I2, Y = [1, 1] over a SISO ell=1 indexing."""
     return FirRegression(
-        Phi=np.eye(2),
-        Yvec=np.array([1.0, 1.0]),
+        Psi=np.eye(2),
+        Y=np.array([[1.0], [1.0]]),
         indexing=MarkovIndexing(n_y=1, n_u=1, ell=1),
         Ts=1.0,
     )
@@ -111,10 +114,7 @@ def assert_matches_50_digit_solution(cs, rows, rng, weight):
     stacked system (``assert_matches_stacked_oracle``) can be off by 1e-8,
     so the judge is the stacked problem solved in mpmath.
     """
-    reg = FirRegression(
-        Phi=rng.standard_normal((rows, cs.indexing.size)), Yvec=rng.standard_normal(rows),
-        indexing=cs.indexing, Ts=1.0,
-    )
+    reg = random_regression(rng, cs.indexing, rows // cs.indexing.n_y)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EstimationWarning)
         result = ls_equality_weighted(reg, cs, weight)
@@ -218,12 +218,37 @@ class TestBuildFirRegression:
         assert np.array_equal(reg.Yvec, oracle.Yvec)
         assert reg.indexing == oracle.indexing and reg.Ts == oracle.Ts
 
+    def test_holds_psi_not_phi(self):
+        # Psi (N - ell) x (ell + 1) n_u is n_y^2 times smaller than Phi; Y is a view
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        data = IdentDataset(
+            U=rng.standard_normal((900, 3)), Y=rng.standard_normal((900, 3)), Ts=1.0
+        )
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            reg = build_fir_regression(data, 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reg.Psi.shape == (840, 61 * 3) and reg.Psi.flags.c_contiguous
+        assert peak - live <= 1.1 * (reg.Psi.nbytes + reg.Y.nbytes)
+
+    def test_rejects_mismatched_shapes(self):
+        idx = MarkovIndexing(n_y=2, n_u=3, ell=1)
+        with pytest.raises(ValueError, match="do not fit"):
+            FirRegression(Psi=np.zeros((4, 5)), Y=np.zeros((4, 2)), indexing=idx, Ts=1.0)
+        with pytest.raises(ValueError, match="do not fit"):
+            FirRegression(Psi=np.zeros((4, 6)), Y=np.zeros(8), indexing=idx, Ts=1.0)
+
 
 class TestUnconstrained:
     def test_identity_system(self):
         reg = FirRegression(
-            Phi=np.eye(2),
-            Yvec=np.array([1.0, 2.0]),
+            Psi=np.eye(2),
+            Y=np.array([[1.0], [2.0]]),
             indexing=MarkovIndexing(n_y=1, n_u=1, ell=1),
             Ts=1.0,
         )
@@ -266,8 +291,8 @@ class TestUnconstrained:
 
     def test_empty_regression(self):
         reg = FirRegression(
-            Phi=np.zeros((0, 2)),
-            Yvec=np.zeros(0),
+            Psi=np.zeros((0, 2)),
+            Y=np.zeros((0, 1)),
             indexing=MarkovIndexing(n_y=1, n_u=1, ell=1),
             Ts=1.0,
         )
@@ -290,12 +315,7 @@ class TestEqualityExact:
             A_eq=np.eye(2), b_eq=truth, indexing=idx, provenance=("pin", "pin")
         )
         rng = np.random.default_rng(83)
-        reg = FirRegression(
-            Phi=rng.standard_normal((6, 2)),
-            Yvec=rng.standard_normal(6),
-            indexing=idx,
-            Ts=1.0,
-        )
+        reg = random_regression(rng, idx, 6)
         with pytest.warns(EstimationWarning, match="fully determine"):
             result = ls_equality_exact(reg, cs)
         np.testing.assert_allclose(result.markov.blocks.ravel(), truth, atol=1e-12)
@@ -323,11 +343,7 @@ class TestEqualityExact:
                 A_eq=declared.A_eq, b_eq=declared.A_eq @ rng.standard_normal(idx.size),
                 indexing=idx, provenance=declared.provenance,
             )
-            rows = idx.size + 5
-            reg = FirRegression(
-                Phi=rng.standard_normal((rows, idx.size)), Yvec=rng.standard_normal(rows),
-                indexing=idx, Ts=1.0,
-            )
+            reg = random_regression(rng, idx, (idx.ell + 1) * idx.n_u + 5)
             result = ls_equality_exact(reg, cs)
         assert result.diagnostics["null_dim"] == idx.size - cs.consistency.rank
         assert result.constraint_residual <= 1e-10 * max(1.0, np.linalg.norm(cs.b_eq))
@@ -350,11 +366,7 @@ class TestEqualityExact:
             A_eq=A, b_eq=A @ rng.standard_normal(idx.size), indexing=idx,
             provenance=declared.provenance,
         )
-        rows = idx.size + 5
-        reg = FirRegression(
-            Phi=rng.standard_normal((rows, idx.size)), Yvec=rng.standard_normal(rows),
-            indexing=idx, Ts=1.0,
-        )
+        reg = random_regression(rng, idx, (idx.ell + 1) * idx.n_u + 5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = ls_equality_exact(reg, cs)
@@ -373,10 +385,7 @@ class TestEqualityExact:
         priors = [ratio, SecondOrderRecurrence(i=2, j=1, alpha1=-2.0, alpha0=1.0)]
         cs = compile_priors(priors, idx, Ts=1.0)
         rng = np.random.default_rng(0)
-        reg = FirRegression(
-            Phi=rng.standard_normal((600, idx.size)), Yvec=rng.standard_normal(600),
-            indexing=idx, Ts=1.0,
-        )
+        reg = random_regression(rng, idx, 300)  # Phi has 600 rows
         result = ls_equality_exact(reg, cs)
         assert result.diagnostics["null_dim"] == idx.size - cs.consistency.rank
         m = idx.vec(result.markov)
@@ -399,12 +408,7 @@ class TestEqualityExact:
     def test_optimality_over_feasible_samples(self):
         rng = np.random.default_rng(97)
         idx = MarkovIndexing(n_y=1, n_u=1, ell=5)
-        reg = FirRegression(
-            Phi=rng.standard_normal((20, idx.size)),
-            Yvec=rng.standard_normal(20),
-            indexing=idx,
-            Ts=1.0,
-        )
+        reg = random_regression(rng, idx, 20)
         A = rng.standard_normal((2, idx.size))
         m0 = rng.standard_normal(idx.size)
         cs = EqualityConstraintSet(
@@ -412,8 +416,6 @@ class TestEqualityExact:
         )
         best = ls_equality_exact(reg, cs)
         m_best = idx.vec(best.markov)
-        import scipy.linalg
-
         Z = scipy.linalg.null_space(A)
         for _ in range(1000):
             candidate = m0 + Z @ rng.standard_normal(Z.shape[1])
@@ -439,8 +441,6 @@ class TestEqualityExact:
         np.testing.assert_allclose(idx.vec(result.markov), truth, atol=1e-12)
 
     def test_matches_kkt_on_mimo_shapes(self):
-        import scipy.linalg
-
         def assert_matches_kkt(reg, cs):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", EstimationWarning)  # fully determined
@@ -493,8 +493,8 @@ class TestEqualityExact:
             assert_matches_kkt(reg, compile_quietly(priors, reg.indexing))
 
     def test_peak_memory_stays_near_regressor_size(self):
-        # G1 = Phi V1 and G2 = Phi V2 fill one regressor's worth; a gathered
-        # copy of the untouched channels (Phi[:, free]) reads about 1.8 here
+        # G2 = Phi V2 and lstsq's copy of it fill about one dense regressor's
+        # worth each; Phi itself is never formed
         import tracemalloc
 
         rng = np.random.default_rng(113)
@@ -513,7 +513,8 @@ class TestEqualityExact:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - live <= 1.5 * reg.Phi.nbytes
+        phi_bytes = reg.Y.size * reg.indexing.size * reg.Psi.itemsize  # Phi is not formed
+        assert peak - live <= 1.5 * phi_bytes
 
 
 class TestEqualityWeighted:
@@ -590,19 +591,17 @@ class TestEqualityWeighted:
     def test_default_weight_reads_report_sigma_max(self):
         rng = np.random.default_rng(7)
         idx = MarkovIndexing(n_y=2, n_u=3, ell=4)
-        reg = FirRegression(
-            Phi=rng.standard_normal((40, idx.size)), Yvec=rng.standard_normal(40),
-            indexing=idx, Ts=1.0,
-        )
+        reg = random_regression(rng, idx, 20)  # Phi is 40 x 30
         A = rng.standard_normal((9, idx.size))
         cs = EqualityConstraintSet(
             A_eq=A, b_eq=A @ rng.standard_normal(idx.size), indexing=idx,
             provenance=("r",) * 9,
         )
         w = default_weight(reg, cs)
-        # Phi is 40 x 30: the 30 x 30 Gram matrix of Phi scaled to max |X| in [0.5, 1)
-        e = int(np.frexp(np.abs(reg.Phi).max())[1])
-        X = np.ldexp(reg.Phi, -e)
+        # sigma_max(Phi) = sigma_max(Psi), Psi 20 x 15: the 15 x 15 Gram matrix
+        # of Psi scaled to max |X| in [0.5, 1)
+        e = int(np.frexp(np.abs(reg.Psi).max())[1])
+        X = np.ldexp(reg.Psi, -e)
         smax_phi = math.ldexp(math.sqrt(np.linalg.eigvalsh(X.T @ X)[-1]), e)
         # the random rows touch every channel: one block, whose smallest kept
         # singular value is sigma_min(A), the ninth
@@ -618,10 +617,7 @@ class TestEqualityWeighted:
     def test_default_weight_reads_sigma_max_of_phi(self, rows, scale):
         rng = np.random.default_rng(rows)
         idx = MarkovIndexing(n_y=2, n_u=2, ell=8)  # 36 columns
-        reg = FirRegression(
-            Phi=scale * rng.standard_normal((rows, idx.size)), Yvec=np.zeros(rows),
-            indexing=idx, Ts=1.0,
-        )
+        reg = random_regression(rng, idx, rows // 2, scale)  # Phi has ``rows`` rows
         unit_row = np.eye(1, idx.size)  # sigma_max(A_eq) = 1
         cs = EqualityConstraintSet(A_eq=unit_row, b_eq=np.ones(1), indexing=idx, provenance=("e",))
         assert cs.consistency.sigma_max == 1.0
@@ -648,11 +644,7 @@ class TestEqualityWeighted:
         n_y, n_u, ell = dims
         idx = MarkovIndexing(n_y=n_y, n_u=n_u, ell=ell)
         rng = np.random.default_rng(17)
-        rows = idx.size + 5
-        reg = FirRegression(
-            Phi=rng.standard_normal((rows, idx.size)), Yvec=rng.standard_normal(rows),
-            indexing=idx, Ts=1.0,
-        )
+        reg = random_regression(rng, idx, (idx.ell + 1) * idx.n_u + 5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EstimationWarning)
             assert_matches_stacked_oracle(reg, compile_priors(priors, idx, Ts=1.0), weight)
@@ -666,11 +658,7 @@ class TestEqualityWeighted:
     def test_matches_stacked_oracle_on_random_sets(self, case, seed, weight):
         rng = np.random.default_rng(seed)
         cs = compile_quietly(*case)
-        rows = cs.indexing.size + 5
-        reg = FirRegression(
-            Phi=rng.standard_normal((rows, cs.indexing.size)), Yvec=rng.standard_normal(rows),
-            indexing=cs.indexing, Ts=1.0,
-        )
+        reg = random_regression(rng, cs.indexing, (cs.indexing.ell + 1) * cs.indexing.n_u + 5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EstimationWarning)
             assert_matches_stacked_oracle(reg, cs, weight)
@@ -717,8 +705,8 @@ class TestEqualityWeighted:
         idx = MarkovIndexing(n_y=2, n_u=2, ell=8)
         cs = compile_priors(self.SHORT_DATA_PRIORS["coupled"], idx, Ts=1.0)
         rng = np.random.default_rng(5)
-        Phi, y = rng.standard_normal((6, idx.size)), rng.standard_normal(6)
-        reg = FirRegression(Phi=np.vstack([Phi, Phi]), Yvec=np.concatenate([y, y]),
+        half = random_regression(rng, idx, 3)  # Phi has 6 rows
+        reg = FirRegression(Psi=np.vstack([half.Psi, half.Psi]), Y=np.vstack([half.Y, half.Y]),
                             indexing=idx, Ts=1.0)
         assert reg.Phi.shape[0] < cs.consistency.rank
         result = ls_equality_weighted(reg, cs, 1e-9)
@@ -732,10 +720,7 @@ class TestEqualityWeighted:
         priors = [FirstOrderDecay(i=1, j=1, tau=4.0), DcGain(i=2, j=1, value=1.0),
                   GainRatio(i=1, j=2, p=2, q=2, ratio=2.0)]
         cs = compile_priors(priors, idx, Ts=1.0)
-        reg = FirRegression(
-            Phi=rng.standard_normal((40, idx.size)), Yvec=rng.standard_normal(40),
-            indexing=idx, Ts=1.0,
-        )
+        reg = random_regression(rng, idx, 20)  # Phi has 40 rows
         result = ls_equality_weighted(reg, cs)
         _, _, _, rank, s = stacked_weighted_lstsq(
             reg.Phi, reg.Yvec, cs.A_eq, cs.b_eq, result.diagnostics["weight"]
@@ -746,10 +731,7 @@ class TestEqualityWeighted:
     def test_huge_weight_warns_bad_conditioning(self):
         rng = np.random.default_rng(23)
         idx = MarkovIndexing(n_y=1, n_u=2, ell=4)
-        reg = FirRegression(
-            Phi=rng.standard_normal((20, idx.size)), Yvec=rng.standard_normal(20),
-            indexing=idx, Ts=1.0,
-        )
+        reg = random_regression(rng, idx, 20)
         cs = compile_priors([FirstOrderDecay(i=1, j=1, tau=3.0)], idx, Ts=1.0)
         with pytest.warns(EstimationWarning, match="badly conditioned"):
             result = ls_equality_weighted(reg, cs, 1e20)
@@ -765,13 +747,7 @@ class TestEqualityWeighted:
             n_y, n_u = int(rng.integers(1, 3)), int(rng.integers(1, 3))
             ell = int(rng.integers(1, 11))
             idx = MarkovIndexing(n_y=n_y, n_u=n_u, ell=ell)
-            rows = idx.size + int(rng.integers(1, 10))
-            reg = FirRegression(
-                Phi=rng.standard_normal((rows, idx.size)),
-                Yvec=rng.standard_normal(rows),
-                indexing=idx,
-                Ts=1.0,
-            )
+            reg = random_regression(rng, idx, (idx.ell + 1) * idx.n_u + int(rng.integers(1, 10)))
             r = int(rng.integers(1, max(2, idx.size // 2)))
             A = rng.standard_normal((r, idx.size))
             b = A @ rng.standard_normal(idx.size)
@@ -781,6 +757,134 @@ class TestEqualityWeighted:
             exact = idx.vec(ls_equality_exact(reg, cs).markov)
             weighted = idx.vec(ls_equality_weighted(reg, cs, 1e8).markov)
             assert np.linalg.norm(weighted - exact) <= 1e-5
+
+
+def oracle_priors(n_y, n_u, every_output=False):
+    """A feasible prior set with a GainRatio joining the first and the last
+    channel it touches, when these differ (two outputs when n_y = 3).
+
+    By default the priors touch outputs 1 .. max(n_y - 1, 1) only, so output
+    n_y is untouched when n_y > 1: a DcGain on the first channel, which
+    keeps the estimate away from 0 at every horizon, one more prior on each
+    channel between, and only the ratio on the last.  ``every_output``
+    puts a FirstOrderDecay on every channel instead, with a gain on the
+    first, so each channel keeps at most one free lag: few data rows then
+    suffice for the null space while staying below the constraint rank."""
+    outputs = n_y if every_output else max(n_y - 1, 1)
+    channels = [(i, j) for i in range(1, outputs + 1) for j in range(1, n_u + 1)]
+    if every_output:
+        priors = [FirstOrderDecay(*channels[0], tau=4.0, gain=2.0)]
+        priors += [FirstOrderDecay(*ch, tau=5.0 + c) for c, ch in enumerate(channels[1:])]
+    else:
+        middle = [
+            lambda i, j: DcGain(i, j, value=1.5),
+            lambda i, j: FirstOrderDecay(i, j, tau=5.0, gain=2.0),
+            lambda i, j: SecondOrderRecurrence(i, j, alpha1=-1.2, alpha0=0.36, seed=(1.0, 0.5)),
+            lambda i, j: ZeroChannel(i, j),
+        ]
+        priors = [DcGain(*channels[0], value=-0.8)]
+        priors += [middle[c % len(middle)](*ch) for c, ch in enumerate(channels[1:-1])]
+    if len(channels) > 1:
+        priors.append(GainRatio(*channels[0], *channels[-1], ratio=0.5))
+    return priors
+
+
+def random_dataset(rng, n_u, n_y, n_samples):
+    return IdentDataset(
+        U=rng.standard_normal((n_samples, n_u)), Y=rng.standard_normal((n_samples, n_y)), Ts=1.0
+    )
+
+
+def lstsq_rank_and_cond(matrix):
+    """The rank lstsq(matrix, ., rcond=None) decides, and s_max / s_min."""
+    s = np.linalg.svd(matrix, compute_uv=False)
+    return int(np.count_nonzero(s > np.finfo(float).eps * max(matrix.shape) * s[0])), s[0] / s[-1]
+
+
+class TestDenseOracles:
+    """Every solver, fed Psi, against the same problem solved on the dense
+    Phi = Psi (x) I_{n_y}: lstsq for the unconstrained mode and the KKT
+    system for the exact mode within 1e-12 relative, the 50-digit solution
+    within the stacked forward-error gate for the weighted mode, and the
+    rank, column count, null dimension and condition number computed from
+    the dense matrices of each mode."""
+
+    SHAPES = [(n_y, n_u, ell) for n_y in (1, 2, 3) for n_u in (1, 2, 3) for ell in (0, 1, 7)]
+    # at ell = 0 the short-data recurrences pin every channel to 0
+    WEIGHTED = [(*shape, rows) for shape in SHAPES for rows in ("long", "short")
+                if rows == "long" or shape[2] > 0]
+
+    @staticmethod
+    def assert_diagnostics(diagnostics, rank, columns, cond):
+        assert diagnostics["rank"] == rank
+        assert diagnostics["columns"] == columns
+        assert abs(diagnostics["cond"] - cond) <= 1e-9 * cond
+
+    @pytest.mark.parametrize("n_y, n_u, ell", SHAPES)
+    def test_unconstrained_and_exact(self, n_y, n_u, ell):
+        rng = np.random.default_rng(100 * n_y + 10 * n_u + ell)
+        idx = MarkovIndexing(n_y=n_y, n_u=n_u, ell=ell)
+        data = random_dataset(rng, n_u, n_y, ell + 3 * (ell + 1) * n_u + 2)
+        reg, dense = build_fir_regression(data, ell), dense_fir_regression(data, ell)
+        Phi, y = dense.Phi, dense.Yvec
+
+        result = ls_unconstrained(reg)
+        m_ref = np.linalg.lstsq(Phi, y, rcond=None)[0]
+        assert np.linalg.norm(idx.vec(result.markov) - m_ref) <= 1e-12 * np.linalg.norm(m_ref)
+        rank, cond = lstsq_rank_and_cond(Phi)
+        self.assert_diagnostics(result.diagnostics, rank, idx.size, cond)
+
+        cs = compile_quietly(oracle_priors(n_y, n_u), idx)
+        assert not cs.consistency.infeasible
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EstimationWarning)  # fully determined
+            result = ls_equality_exact(reg, cs)
+        # the KKT system is singular on redundant rows: keep independent ones
+        rank = np.linalg.matrix_rank(cs.A_eq)
+        keep = np.sort(scipy.linalg.qr(cs.A_eq.T, pivoting=True)[2][:rank])
+        m_ref = kkt_solve(Phi, y, cs.A_eq[keep], cs.b_eq[keep])
+        assert np.linalg.norm(idx.vec(result.markov) - m_ref) <= 1e-12 * np.linalg.norm(m_ref)
+        _, V2, _, _ = block_bases(cs)
+        assert result.diagnostics["null_dim"] == V2.shape[1] == idx.size - rank
+        if V2.shape[1]:
+            rank_z, cond = lstsq_rank_and_cond(Phi @ V2)
+            self.assert_diagnostics(result.diagnostics, rank_z, V2.shape[1], cond)
+
+    @pytest.mark.parametrize("n_y, n_u, ell, data_rows", WEIGHTED)
+    def test_weighted(self, n_y, n_u, ell, data_rows):
+        rng = np.random.default_rng(100 * n_y + 10 * n_u + ell)
+        idx = MarkovIndexing(n_y=n_y, n_u=n_u, ell=ell)
+        short = data_rows == "short"
+        cs = compile_quietly(oracle_priors(n_y, n_u, every_output=short), idx)
+        assert not cs.consistency.infeasible
+        samples = n_u if short else 3 * (ell + 1) * n_u + 2
+        data = random_dataset(rng, n_u, n_y, ell + samples)
+        reg, dense = build_fir_regression(data, ell), dense_fir_regression(data, ell)
+        Phi, y = dense.Phi, dense.Yvec
+        if short:  # fewer data rows than the constraint rank, enough for the null space
+            assert idx.size - cs.consistency.rank <= Phi.shape[0] < cs.consistency.rank
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EstimationWarning)
+            result = ls_equality_weighted(reg, cs)
+        w = result.diagnostics["weight"]
+        V1, V2, s1, _ = block_bases(cs)
+        assert abs(w - 1e6 * np.linalg.norm(Phi, 2) / s1.min()) <= 1e-12 * w
+        m_ref = mp_weighted_solution(Phi, y, cs.A_eq, cs.b_eq, w)
+        _, bound, _ = stacked_forward_error(dense, cs, w)
+        assert np.linalg.norm(idx.vec(result.markov) - m_ref) <= bound * np.linalg.norm(m_ref)
+
+        # W G2 with W = (I + K K^T)^-1/2, K = Phi V1 / (w s1), by the dense eigensolve
+        K = Phi @ V1 / (w * s1)
+        lam, V = np.linalg.eigh(K @ K.T)
+        W = (V / np.sqrt(1.0 + np.maximum(lam, 0.0))) @ V.T
+        WG2 = W @ Phi @ V2
+        sz = np.linalg.svd(WG2, compute_uv=False)
+        rank_z = lstsq_rank_and_cond(WG2)[0] if WG2.size else 0
+        singular = np.concatenate([w * s1, sz])
+        self.assert_diagnostics(
+            result.diagnostics, len(s1) + rank_z, idx.size, singular.max() / singular.min()
+        )
 
 
 def _relabel_outputs(prior, new_index):
@@ -817,6 +921,55 @@ class TestOutputPermutation:
             """||estimate of the permuted data, unpermuted - estimate|| and ||estimate||."""
             blocks = result.markov.blocks
             return np.linalg.norm(result_p.markov.blocks - blocks[:, perm]), np.linalg.norm(blocks)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EstimationWarning)
+            diff, norm = moved(ls_unconstrained(reg), ls_unconstrained(reg_p))
+            assert diff <= 1e-12 * norm
+            if not cs.consistency.infeasible:
+                diff, norm = moved(ls_equality_exact(reg, cs), ls_equality_exact(reg_p, cs_p))
+                assert diff <= 1e-12 * norm
+            result = ls_equality_weighted(reg, cs)
+            weight = result.diagnostics["weight"]
+            diff, _ = moved(result, ls_equality_weighted(reg_p, cs_p, weight))
+        m_ref, bound, _ = stacked_forward_error(reg, cs, weight)
+        assert diff <= 2 * bound * np.linalg.norm(m_ref)
+
+
+def _relabel_inputs(prior, new_index):
+    """``prior`` with its input indices j (and q) mapped through ``new_index``."""
+    changes = {"j": new_index[prior.j - 1] + 1}
+    if isinstance(prior, GainRatio):
+        changes["q"] = new_index[prior.q - 1] + 1
+    return dataclasses.replace(prior, **changes)
+
+
+class TestInputPermutation:
+    """Permuting the input columns of the data, with the priors' input
+    indices remapped, permutes the columns of every Markov block, by the
+    tolerances of :class:`TestOutputPermutation`.  The regressor reads
+    input j of an untouched channel from Psi[:, j::n_u], so this pins the
+    map from Phi's columns to Psi's."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(case=prior_sets(coupled=True), data=st.data())
+    def test_permuted_inputs_permute_the_estimate(self, case, data):
+        priors, idx = case
+        perm = data.draw(st.permutations(range(idx.n_u)))  # new input b is old perm[b]
+        new_index = np.argsort(perm)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = idx.ell + (idx.ell + 1) * idx.n_u + 4  # Phi has full column rank
+        U, Y = rng.standard_normal((n, idx.n_u)), rng.standard_normal((n, idx.n_y))
+        reg = build_fir_regression(IdentDataset(U=U, Y=Y, Ts=1.0), idx.ell)
+        reg_p = build_fir_regression(IdentDataset(U=U[:, perm], Y=Y, Ts=1.0), idx.ell)
+        cs = compile_quietly(priors, idx)
+        cs_p = compile_quietly([_relabel_inputs(prior, new_index) for prior in priors], idx)
+        assert cs_p.consistency.infeasible == cs.consistency.infeasible
+
+        def moved(result, result_p):
+            """||estimate of the permuted data, unpermuted - estimate|| and ||estimate||."""
+            blocks = result.markov.blocks
+            return np.linalg.norm(result_p.markov.blocks - blocks[:, :, perm]), np.linalg.norm(blocks)
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EstimationWarning)
