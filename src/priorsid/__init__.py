@@ -7,124 +7,17 @@ estimates those parameters from input-output data by constrained FIR least
 squares, and realizes a state-space model with Kung's algorithm.
 """
 
-from .discretize import (
-    DtSecondOrderCoeffs,
-    FirstOrder,
-    Integrator,
-    IntegratorFirstOrder,
-    PrototypeModel,
-    SecondOrderOsc,
-    TwoTimeConstants,
-    controller_form,
-    prototype_markov,
-    prototype_statespace,
-    zoh_first_order,
-    zoh_integrator,
-    zoh_second_order,
-)
-from .estimate import (
-    EstimateResult,
-    EstimationWarning,
-    FirRegression,
-    IdentDataset,
-    build_fir_regression,
-    default_weight,
-    ls_equality_exact,
-    ls_equality_weighted,
-    ls_unconstrained,
-)
-from .priors import (
-    BlockSvd,
-    ConsistencyReport,
-    ConstraintBlock,
-    ConstraintCompileWarning,
-    DcGain,
-    DcGainMatrix,
-    EqualityConstraintSet,
-    FirstOrderDecay,
-    GainRatio,
-    InfeasibleConstraintsError,
-    IntegratorChannel,
-    MarkovIndexing,
-    PriorSpec,
-    SecondOrderRecurrence,
-    ZeroChannel,
-    check_consistency,
-    compile_priors,
-    constraint_residual,
-)
-from .realize import (
-    RealizationResult,
-    block_hankel,
-    default_hankel_shape,
-    identify_pipeline,
-    kung_realize,
-)
-from .statespace import (
-    MarkovSequence,
-    StateSpaceModel,
-    apply_similarity,
-    dc_gain,
-    markov_sequence,
-    pulse_response,
-    simulate,
-    spectral_radius,
-)
+from . import discretize, estimate, priors, realize, statespace
+from .discretize import *  # noqa: F403
+from .estimate import *  # noqa: F403
+from .priors import *  # noqa: F403
+from .realize import *  # noqa: F403
+from .statespace import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "StateSpaceModel",
-    "MarkovSequence",
-    "simulate",
-    "markov_sequence",
-    "pulse_response",
-    "dc_gain",
-    "apply_similarity",
-    "spectral_radius",
-    "Integrator",
-    "FirstOrder",
-    "IntegratorFirstOrder",
-    "TwoTimeConstants",
-    "SecondOrderOsc",
-    "PrototypeModel",
-    "DtSecondOrderCoeffs",
-    "zoh_first_order",
-    "zoh_integrator",
-    "zoh_second_order",
-    "controller_form",
-    "prototype_markov",
-    "prototype_statespace",
-    "MarkovIndexing",
-    "DcGain",
-    "DcGainMatrix",
-    "GainRatio",
-    "FirstOrderDecay",
-    "IntegratorChannel",
-    "SecondOrderRecurrence",
-    "ZeroChannel",
-    "PriorSpec",
-    "EqualityConstraintSet",
-    "ConstraintBlock",
-    "BlockSvd",
-    "ConsistencyReport",
-    "ConstraintCompileWarning",
-    "InfeasibleConstraintsError",
-    "compile_priors",
-    "check_consistency",
-    "constraint_residual",
-    "IdentDataset",
-    "FirRegression",
-    "EstimateResult",
-    "EstimationWarning",
-    "build_fir_regression",
-    "ls_unconstrained",
-    "ls_equality_exact",
-    "ls_equality_weighted",
-    "default_weight",
-    "RealizationResult",
-    "block_hankel",
-    "kung_realize",
-    "identify_pipeline",
-    "default_hankel_shape",
+    name
+    for module in (statespace, discretize, priors, estimate, realize)
+    for name in module.__all__
 ]

@@ -287,6 +287,7 @@ def _write_report(path, config, data, result):
         f"p: {result.p}",
         f"delays: {','.join(str(d) for d in config.delays) if config.delays else 'none'}",
         f"order: {result.order}",
+        f"order_saturated: {str(result.order_saturated).lower()}",
         "singular_values: " + " ".join(_fmt6(v) for v in result.singular_values),
         f"residual_norm: {_fmt6(est.residual_norm)}",
         f"constraint_rows: {result.constraints.n_rows}",

@@ -29,7 +29,7 @@ from typing import Union
 
 import numpy as np
 
-from .statespace import MarkovSequence, StateSpaceModel
+from .statespace import MarkovSequence, StateSpaceModel, _require_positive
 
 __all__ = [
     "Integrator",
@@ -50,13 +50,6 @@ __all__ = [
 # Two-time-constant coefficients divide by tau1 - tau2; below this relative
 # gap the result is numerically meaningless and the model is rejected.
 TAU_GAP_MIN = 1e-8
-
-
-def _require_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be a positive real, got {value}")
-    return value
 
 
 @dataclass(frozen=True)

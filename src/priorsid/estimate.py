@@ -39,7 +39,7 @@ from .priors import (
     InfeasibleConstraintsError,
     MarkovIndexing,
 )
-from .statespace import MarkovSequence
+from .statespace import MarkovSequence, _require_positive
 
 __all__ = [
     "IdentDataset",
@@ -83,15 +83,14 @@ class IdentDataset:
             raise ValueError("U contains non-finite entries")
         if Y.size and not np.all(np.isfinite(Y)):
             raise ValueError("Y contains non-finite entries")
-        if not (math.isfinite(self.Ts) and self.Ts > 0):
-            raise ValueError(f"Ts must be a positive real, got {self.Ts}")
+        Ts = _require_positive("Ts", self.Ts)
         U = U.copy()
         Y = Y.copy()
         U.setflags(write=False)
         Y.setflags(write=False)
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "Ts", float(self.Ts))
+        object.__setattr__(self, "Ts", Ts)
 
     @property
     def n_samples(self) -> int:
@@ -402,8 +401,7 @@ def ls_equality_weighted(
     _check_constrained(reg, cs)
     if weight is None:
         weight = default_weight(reg, cs)
-    if not (math.isfinite(weight) and weight > 0):
-        raise ValueError(f"weight must be a positive real, got {weight}")
+    weight = _require_positive("weight", weight)
     if cs.consistency.infeasible:
         warnings.warn(
             "equality constraints are contradictory; the weighted solution blends "
@@ -436,7 +434,7 @@ def ls_equality_weighted(
     m_hat = lift(a0 + e / (weight * s1), z)
     singular_values = np.sort(np.concatenate([weight * s1, sz]))[::-1]
     diagnostics = _lstsq_diagnostics(reg.indexing.size, singular_values, len(s1) + rank_z)
-    diagnostics["weight"] = float(weight)
+    diagnostics["weight"] = weight
     if diagnostics["cond"] > 1e14:
         warnings.warn(
             f"weighted system is badly conditioned (cond={diagnostics['cond']:.3g}); "

@@ -25,7 +25,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .statespace import MarkovSequence
+from .statespace import MarkovSequence, _require_positive
 
 __all__ = [
     "MarkovIndexing",
@@ -179,8 +179,7 @@ class FirstOrderDecay:
 
     def __post_init__(self) -> None:
         _check_channel_fields(self.i, self.j)
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be a positive real, got {self.tau}")
+        _require_positive("tau", self.tau)
         _check_finite(self, "gain")
 
 
@@ -374,14 +373,13 @@ class EqualityConstraintSet:
 class ConsistencyReport:
     """Rank diagnostics and block factorizations of a constraint set.
 
-    ``sigma_max`` is 0 for an empty set.  ``blocks`` holds one
-    :class:`BlockSvd` per block of the set, left out of ==.
+    ``blocks`` holds one :class:`BlockSvd` per block of the set, left out
+    of ==.
     """
 
     rank: int
     redundant_rows: tuple[int, ...]
     infeasible: bool
-    sigma_max: float
     blocks: tuple[BlockSvd, ...] = field(compare=False, repr=False)
 
 
@@ -448,8 +446,7 @@ def compile_priors(
     :class:`ConstraintCompileWarning`.  A row that cancels to zero, as in
     ``GainRatio(i, j, i, j, 1.0)``, raises a ``ValueError`` naming its prior.
     """
-    if not (math.isfinite(Ts) and Ts > 0):
-        raise ValueError(f"Ts must be a positive real, got {Ts}")
+    _require_positive("Ts", Ts)
     ell, n_y, n_u = indexing.ell, indexing.n_y, indexing.n_u
     ones = np.ones((1, ell + 1))
     parts = []  # (tag, [(i, j, lag rows added to channel (i, j))], rhs)
@@ -553,7 +550,7 @@ def _blocks(touches: np.ndarray, ell: int) -> list[tuple[np.ndarray, np.ndarray]
 
 
 def check_consistency(cs: EqualityConstraintSet) -> ConsistencyReport:
-    """Rank, redundant rows, feasibility, sigma_max and block factorizations.
+    """Rank, redundant rows, feasibility and block factorizations.
 
     Takes one SVD per stored block of ``cs.blocks``, with full matrices only for
     wide blocks, so Vt is square.  Each block's b is scaled exactly, by a
@@ -564,11 +561,11 @@ def check_consistency(cs: EqualityConstraintSet) -> ConsistencyReport:
     sigma_max ||x||), so no scale of b hides a contradiction; in units of
     max(rows, cols) eps (...), feasible blocks were seen below 1 and
     contradictions above 1e8.  A pivoted QR of A^T (scipy) picks the
-    redundant rows of rank-deficient blocks only.  Ranks add up, sigma_max
-    is the largest, and ``blocks`` keeps each block's :class:`BlockSvd`,
-    with a0 scaled back to the unscaled b.
+    redundant rows of rank-deficient blocks only.  Ranks add up, and
+    ``blocks`` keeps each block's :class:`BlockSvd`, with a0 scaled back to
+    the unscaled b.
     """
-    rank, sigma_max, infeasible, redundant, blocks = 0, 0.0, False, [], []
+    rank, infeasible, redundant, blocks = 0, False, [], []
     eps = np.finfo(float).eps
     for rows, cols, A in cs.blocks:
         b = cs.b_eq[rows]
@@ -588,14 +585,11 @@ def check_consistency(cs: EqualityConstraintSet) -> ConsistencyReport:
             piv = scipy.linalg.qr(A.T, mode="r", pivoting=True)[1]
             redundant += rows[piv[block_rank:]].tolist()
         rank += block_rank
-        sigma_max = max(sigma_max, sigma)
         a0 = np.ldexp(a0, e)
         for array in (s, Vt, a0):
             array.setflags(write=False)
         blocks.append(BlockSvd(rows, cols, s, Vt, block_rank, a0))
-    return ConsistencyReport(
-        rank, tuple(sorted(redundant)), infeasible, sigma_max, tuple(blocks)
-    )
+    return ConsistencyReport(rank, tuple(sorted(redundant)), infeasible, tuple(blocks))
 
 
 def constraint_residual(cs: EqualityConstraintSet, markov: MarkovSequence) -> float:

@@ -17,6 +17,7 @@ result rather than corrected.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,7 +58,10 @@ MODES = ("unconstrained", "exact", "weighted")
 class RealizationResult:
     """Realized model with order-selection and reconstruction diagnostics.
 
-    ``q`` and ``p`` are the Hankel block shape the model was realized from.
+    ``order_saturated`` is true when the automatic order rule kept every
+    state the Hankel allows, min(q n_y, p n_u): the estimate then shows no
+    low-rank structure at the cutoff.  ``q`` and ``p`` are the Hankel block
+    shape the model was realized from.
     :func:`identify_pipeline` also attaches the estimate, the compiled
     constraint set and the constraint residual of the realized model.
     """
@@ -65,6 +69,7 @@ class RealizationResult:
     model: StateSpaceModel
     singular_values: np.ndarray
     order: int
+    order_saturated: bool
     reconstruction_error: float
     q: int
     p: int
@@ -142,7 +147,9 @@ def kung_realize(
 
     Returns:
         RealizationResult; ``reconstruction_error`` is the Frobenius norm of
-        the mismatch between the realized and given M_1 .. M_{q+p-1}.
+        the mismatch between the realized and given M_1 .. M_{q+p-1}.  When
+        the automatic rule keeps all min(q n_y, p n_u) states, the result is
+        flagged ``order_saturated`` and a warning is issued.
     """
     _check_realization_settings(q, tol)
     H = block_hankel(markov, q, p)
@@ -161,6 +168,13 @@ def kung_realize(
             raise ValueError(
                 f"order {n} exceeds the Hankel rank bound min(q*n_y, p*n_u) = {max_order}"
             )
+    saturated = order is None and n == max_order
+    if saturated:
+        warnings.warn(
+            f"automatic order selection kept all {n} states of the {q}x{p} block Hankel: "
+            f"no singular value falls below tol={tol:g} of the largest",
+            stacklevel=2,
+        )
 
     sqrt_s = np.sqrt(s[:n])  # n = 0 gives the static model D = M_0
     obs = U[:, :n] * sqrt_s
@@ -173,7 +187,8 @@ def kung_realize(
         np.linalg.norm(realized.blocks[1:] - markov.blocks[1 : q + p])
     )
     return RealizationResult(
-        model=model, singular_values=s, order=n, reconstruction_error=error, q=q, p=p
+        model=model, singular_values=s, order=n, order_saturated=saturated,
+        reconstruction_error=error, q=q, p=p,
     )
 
 

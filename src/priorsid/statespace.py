@@ -17,6 +17,7 @@ function, so concurrent use needs no locking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,13 @@ STABILITY_MARGIN = 1.0 - 1e-9
 # Similarity transforms with a 2-norm condition number above this bound are
 # rejected as effectively singular.
 SIMILARITY_COND_LIMIT = 1e12
+
+
+def _require_positive(name: str, value: float) -> float:
+    """``value`` as a float; a ValueError names ``name`` unless it is finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a positive real, got {value}")
+    return float(value)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -95,14 +103,13 @@ class StateSpaceModel:
         for name, mat in (("A", A), ("B", B), ("C", C), ("D", D)):
             if mat.size and not np.all(np.isfinite(mat)):
                 raise ValueError(f"{name} contains non-finite entries")
-        if not (np.isfinite(self.Ts) and self.Ts > 0):
-            raise ValueError(f"Ts must be a positive real, got {self.Ts}")
+        Ts = _require_positive("Ts", self.Ts)
 
         object.__setattr__(self, "A", _freeze(A.copy()))
         object.__setattr__(self, "B", _freeze(B.copy()))
         object.__setattr__(self, "C", _freeze(C.copy()))
         object.__setattr__(self, "D", _freeze(D.copy()))
-        object.__setattr__(self, "Ts", float(self.Ts))
+        object.__setattr__(self, "Ts", Ts)
 
     @property
     def n(self) -> int:
@@ -143,10 +150,9 @@ class MarkovSequence:
             raise ValueError("a Markov sequence needs at least the M_0 block")
         if blocks.size and not np.all(np.isfinite(blocks)):
             raise ValueError("Markov blocks contain non-finite entries")
-        if not (np.isfinite(self.Ts) and self.Ts > 0):
-            raise ValueError(f"Ts must be a positive real, got {self.Ts}")
+        Ts = _require_positive("Ts", self.Ts)
         object.__setattr__(self, "blocks", _freeze(blocks))
-        object.__setattr__(self, "Ts", float(self.Ts))
+        object.__setattr__(self, "Ts", Ts)
 
     @property
     def ell(self) -> int:

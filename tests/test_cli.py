@@ -284,6 +284,28 @@ class TestIdentifyCommand:
         model = read_model_file(out_dir / "model.txt")
         assert model.n >= 1
 
+    @pytest.mark.parametrize(
+        "mode, order, saturated", [("exact", 1, "false"), ("unconstrained", 15, "true")]
+    )
+    def test_report_flags_saturated_order(self, tmp_path, mode, order, saturated):
+        data = make_dataset_file(tmp_path, snr=10.0)
+        priors = write_priors_file(
+            tmp_path, [{"type": "first_order_decay", "i": 1, "j": 1, "tau": 10.0}]
+        )
+        out_dir = tmp_path / "out"
+        argv = [
+            "identify", "--dataset", str(data), "--ts", "1", "--ell", "30", "--mode", mode,
+            "--output-dir", str(out_dir),
+        ]
+        if mode == "exact":
+            argv += ["--priors", str(priors)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(argv) == EXIT_OK
+        lines = (out_dir / "report.txt").read_text().splitlines()
+        at = lines.index(f"order: {order}")
+        assert lines[at + 1] == f"order_saturated: {saturated}"
+
     def test_noise_free_constraint_residual_in_report(self, tmp_path):
         data = make_dataset_file(tmp_path, snr=None, tau=2.0)
         priors = write_priors_file(

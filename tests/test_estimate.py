@@ -588,7 +588,7 @@ class TestEqualityWeighted:
         result = ls_equality_weighted(reg, cs)
         assert f"w={w:g}" in result.method
 
-    def test_default_weight_reads_report_sigma_max(self):
+    def test_default_weight_reads_smallest_kept_block_singular_value(self):
         rng = np.random.default_rng(7)
         idx = MarkovIndexing(n_y=2, n_u=3, ell=4)
         reg = random_regression(rng, idx, 20)  # Phi is 40 x 30
@@ -609,7 +609,7 @@ class TestEqualityWeighted:
         assert block.rank == 9
         assert w == 1e6 * smax_phi / block.s[8]
         s_min = np.linalg.svd(A, compute_uv=False)[-1]
-        assert abs(block.s[8] - s_min) <= 1e-14 * cs.consistency.sigma_max
+        assert abs(block.s[8] - s_min) <= 1e-14 * block.s[0]
 
     # unscaled, the Gram matrix overflows at 1e160 and underflows at 1e-160
     @pytest.mark.parametrize("scale", [1.0, 1e150, 1e160, 1e-160])
@@ -618,9 +618,8 @@ class TestEqualityWeighted:
         rng = np.random.default_rng(rows)
         idx = MarkovIndexing(n_y=2, n_u=2, ell=8)  # 36 columns
         reg = random_regression(rng, idx, rows // 2, scale)  # Phi has ``rows`` rows
-        unit_row = np.eye(1, idx.size)  # sigma_max(A_eq) = 1
+        unit_row = np.eye(1, idx.size)  # its one singular value is 1
         cs = EqualityConstraintSet(A_eq=unit_row, b_eq=np.ones(1), indexing=idx, provenance=("e",))
-        assert cs.consistency.sigma_max == 1.0
         norm = np.linalg.norm(reg.Phi, 2)
         assert abs(default_weight(reg, cs) / 1e6 - norm) <= 1e-14 * norm
 
@@ -698,6 +697,15 @@ class TestEqualityWeighted:
         cs = compile_quietly(priors, idx)
         assume(idx.size - cs.consistency.rank <= rows < cs.consistency.rank)
         assert_matches_50_digit_solution(cs, rows, np.random.default_rng(seed), weight)
+
+    # long data: at least as many data rows as the constraint rank, so K is tall
+    @pytest.mark.parametrize("weight", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, None, 1e8])
+    @pytest.mark.parametrize("name", list(SHORT_DATA_PRIORS))
+    def test_long_data_matches_50_digit_solution(self, name, weight):
+        idx = MarkovIndexing(n_y=2, n_u=2, ell=8)
+        cs = compile_priors(self.SHORT_DATA_PRIORS[name], idx, Ts=1.0)
+        assert cs.consistency.rank <= 40
+        assert_matches_50_digit_solution(cs, 40, np.random.default_rng(40), weight)
 
     def test_short_data_with_duplicated_rows_at_small_weight(self):
         # K K^T is singular: a Cholesky of I + K K^T failed here with
@@ -983,6 +991,79 @@ class TestInputPermutation:
             diff, _ = moved(result, ls_equality_weighted(reg_p, cs_p, weight))
         m_ref, bound, _ = stacked_forward_error(reg, cs, weight)
         assert diff <= 2 * bound * np.linalg.norm(m_ref)
+
+
+def dense_set(cs, scale=1.0):
+    """``cs`` rebuilt from its dense rows, with b_eq times ``scale``."""
+    return EqualityConstraintSet(cs.A_eq, scale * cs.b_eq, cs.indexing, cs.provenance)
+
+
+def full_rank_regression(rng, idx, Y_scale=1.0):
+    """Random data with enough rows for Phi to have full column rank, and
+    the same data with Y times ``Y_scale``."""
+    n = idx.ell + (idx.ell + 1) * idx.n_u + 4
+    U, Y = rng.standard_normal((n, idx.n_u)), rng.standard_normal((n, idx.n_y))
+    return (build_fir_regression(IdentDataset(U=U, Y=Y, Ts=1.0), idx.ell),
+            build_fir_regression(IdentDataset(U=U, Y=Y_scale * Y, Ts=1.0), idx.ell))
+
+
+def assert_close(m, m_ref):
+    assert np.linalg.norm(m - m_ref) <= 1e-12 * np.linalg.norm(m_ref)
+
+
+class TestScaling:
+    """Scaling Y and b_eq by c scales the estimate by c, within 1e-12
+    relative, in all three modes.  Weighted mode takes the default weight,
+    which reads Phi and A_eq only, so both problems get the same weight."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        case=prior_sets(coupled=True),
+        c=st.floats(1e-6, 1e6) | st.floats(-1e6, -1e-6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scaled_data_and_priors_scale_the_estimate(self, case, c, seed):
+        cs = dense_set(compile_quietly(*case))
+        cs_c = dense_set(cs, c)
+        reg, reg_c = full_rank_regression(np.random.default_rng(seed), cs.indexing, c)
+        assert cs_c.consistency.infeasible == cs.consistency.infeasible
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EstimationWarning)
+            assert_close(ls_unconstrained(reg_c).markov.blocks,
+                         c * ls_unconstrained(reg).markov.blocks)
+            if not cs.consistency.infeasible:
+                assert_close(ls_equality_exact(reg_c, cs_c).markov.blocks,
+                             c * ls_equality_exact(reg, cs).markov.blocks)
+            result, result_c = ls_equality_weighted(reg, cs), ls_equality_weighted(reg_c, cs_c)
+        assert result_c.diagnostics["weight"] == result.diagnostics["weight"]
+        assert_close(result_c.markov.blocks, c * result.markov.blocks)
+
+
+class TestDuplicatePrior:
+    """Appending a copy of one prior leaves the exact estimate unchanged
+    within 1e-12 relative, and adds exactly that prior's rows to the
+    report's redundant rows."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(case=prior_sets(coupled=True), data=st.data())
+    def test_duplicate_prior_is_redundant(self, case, data):
+        priors, idx = case
+        prior = data.draw(st.sampled_from(priors))
+        cs, cs_dup = compile_quietly(priors, idx), compile_quietly([*priors, prior], idx)
+        added = cs_dup.n_rows - cs.n_rows
+        assert added == compile_quietly([prior], idx).n_rows
+        report, report_dup = cs.consistency, cs_dup.consistency
+        assert report_dup.rank == report.rank
+        assert report_dup.infeasible == report.infeasible
+        assert len(report_dup.redundant_rows) == len(report.redundant_rows) + added
+        if not report.infeasible:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            reg, _ = full_rank_regression(rng, idx)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", EstimationWarning)
+                assert_close(ls_equality_exact(reg, cs_dup).markov.blocks,
+                             ls_equality_exact(reg, cs).markov.blocks)
 
 
 class TestIdentDatasetValidation:

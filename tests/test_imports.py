@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import priorsid
+from priorsid import discretize, estimate, priors, realize, statespace
 
 SCRIPT = """
 import sys
@@ -45,3 +46,13 @@ def test_full_rank_pipeline_leaves_scipy_unloaded():
         [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_package_exports_each_module_name_once():
+    modules = (statespace, discretize, priors, estimate, realize)
+    names = [name for module in modules for name in module.__all__]
+    assert len(set(names)) == len(names)  # no name has two home modules
+    assert sorted(priorsid.__all__) == sorted(names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(priorsid, name) is getattr(module, name)

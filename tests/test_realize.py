@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,24 @@ class TestOrderDetection:
             q = p = model.n + 2
             seq = markov_sequence(model, q + p)
             assert kung_realize(seq, q, p).order == model.n
+
+    def test_exact_low_order_sequence_is_not_saturated(self):
+        model = prototype_statespace(SecondOrderOsc(K=1.5, omega0=0.5, xi=0.3), 1.0)
+        seq = markov_sequence(model, 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = kung_realize(seq, 6, 6)
+        assert result.order == 2 and not result.order_saturated
+
+    def test_random_sequence_saturates_and_warns(self):
+        blocks = np.random.default_rng(149).standard_normal((13, 2, 3))
+        seq = MarkovSequence(blocks=blocks, Ts=1.0)
+        with pytest.warns(UserWarning, match="kept all 12 states of the 6x6 block Hankel"):
+            result = kung_realize(seq, 6, 6)
+        assert result.order == 12 and result.order_saturated
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a fixed full order is a choice, not a finding
+            assert not kung_realize(seq, 6, 6, order=12).order_saturated
 
     def test_fixed_order_respected(self):
         seq = markov_sequence(

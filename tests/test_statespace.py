@@ -2,17 +2,23 @@ import numpy as np
 import pytest
 
 from priorsid import (
+    FirstOrder,
+    FirstOrderDecay,
+    IdentDataset,
+    MarkovIndexing,
     MarkovSequence,
     StateSpaceModel,
     apply_similarity,
+    compile_priors,
     dc_gain,
+    ls_equality_weighted,
     markov_sequence,
     pulse_response,
     simulate,
     spectral_radius,
     zoh_first_order,
 )
-from helpers import random_stable_model, well_conditioned_transform
+from helpers import random_regression, random_stable_model, well_conditioned_transform
 
 SCALAR = StateSpaceModel(A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[0.0]], Ts=1.0)
 
@@ -206,3 +212,31 @@ class TestStateSpaceModelValidation:
         model = StateSpaceModel(A=np.eye(2) * 0.1, B=np.ones((2, 2)),
                                 C=np.ones((1, 2)), D=None, Ts=1.0)
         np.testing.assert_array_equal(model.D, np.zeros((1, 2)))
+
+
+SISO2 = MarkovIndexing(n_y=1, n_u=1, ell=2)
+POSITIVE_REALS = {
+    "StateSpaceModel": ("Ts", lambda v: StateSpaceModel(A=0.5, B=1.0, C=1.0, D=None, Ts=v)),
+    "MarkovSequence": ("Ts", lambda v: MarkovSequence(blocks=[0.0, 1.0], Ts=v)),
+    "IdentDataset": ("Ts", lambda v: IdentDataset(U=np.zeros(3), Y=np.zeros(3), Ts=v)),
+    "compile_priors": ("Ts", lambda v: compile_priors([], SISO2, Ts=v)),
+    "FirstOrderDecay": ("tau", lambda v: FirstOrderDecay(i=1, j=1, tau=v)),
+    "FirstOrder": ("tau", lambda v: FirstOrder(K=1.0, tau=v)),
+    "ls_equality_weighted": ("weight", lambda v: ls_equality_weighted(
+        random_regression(np.random.default_rng(0), SISO2, 6),
+        compile_priors([FirstOrderDecay(i=1, j=1, tau=2.0)], SISO2, Ts=1.0), v)),
+}
+
+
+@pytest.mark.parametrize("value", [0, -1.5, float("nan"), float("inf")])
+@pytest.mark.parametrize("site", list(POSITIVE_REALS))
+def test_positive_reals_are_refused_in_one_wording(site, value):
+    name, build = POSITIVE_REALS[site]
+    with pytest.raises(ValueError, match=rf"^{name} must be a positive real, got {value}$"):
+        build(value)
+
+
+@pytest.mark.parametrize("site", list(POSITIVE_REALS))
+def test_positive_real_check_refuses_text(site):
+    with pytest.raises(TypeError):
+        POSITIVE_REALS[site][1]("2.0")
