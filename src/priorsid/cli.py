@@ -15,11 +15,11 @@ not depend on scheduling.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Any
 
@@ -34,18 +34,15 @@ from .estimate import (
     ls_unconstrained,
 )
 from .priors import InfeasibleConstraintsError, MarkovIndexing, PriorSpec, compile_priors
-from .realize import MODES, identify_pipeline
+from .realize import DEFAULT_ORDER_TOL, MODES, identify_pipeline
 from .statespace import StateSpaceModel, dc_gain, markov_sequence, simulate
 
 __all__ = [
     "RunConfig",
-    "PipelineStageError",
     "generate_input",
     "apply_delays",
-    "run_simulate",
     "run_identify",
     "mc_compare",
-    "run_mc_compare",
     "main",
 ]
 
@@ -76,7 +73,7 @@ class RunConfig:
     priors: list[PriorSpec] = field(default_factory=list)
     delays: list[int] = field(default_factory=list)
     order: int | None = None
-    order_tol: float = 1e-8
+    order_tol: float = DEFAULT_ORDER_TOL
     seed: int = 0
     mc_runs: int = 100
     snr_db: float | None = None
@@ -85,25 +82,6 @@ class RunConfig:
     input_kind: str = "white"
     n_samples: int = 200
     output_dir: str = "out"
-
-
-class PipelineStageError(RuntimeError):
-    """An error raised inside a named pipeline stage."""
-
-    def __init__(self, stage: str, original: BaseException):
-        super().__init__(f"{stage}: {original}")
-        self.stage = stage
-        self.original = original
-
-
-@contextmanager
-def _stage(name: str):
-    try:
-        yield
-    except PipelineStageError:
-        raise
-    except Exception as exc:
-        raise PipelineStageError(name, exc) from exc
 
 
 def _exit_code(exc: BaseException) -> int:
@@ -196,78 +174,51 @@ def apply_delays(U: np.ndarray, delays: list[int]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # subcommand drivers
 
-def run_simulate(
-    model: StateSpaceModel,
-    input_kind: str,
-    n_samples: int,
-    snr_db: float | None,
-    seed: int,
-    output: str,
-) -> str:
-    """Simulate a model over a generated input and write the dataset CSV."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    U = generate_input(input_kind, n_samples, model.n_u, rng)
-    data = _simulate_noisy(model, U, snr_db, rng)
-    fileio.write_dataset(output, data)
-    return output
-
-
 def run_identify(config: RunConfig) -> dict[str, str]:
     """Load a dataset, run the identification pipeline, emit report files.
 
     Writes ``model.txt``, ``markov.csv`` and ``report.txt`` into
     ``config.output_dir`` and returns their paths.
     """
-    with _stage("configuration"):
-        if config.dataset is None:
-            raise ValueError("an input dataset path is required")
-        if config.Ts is None:
-            raise ValueError("the sampling period Ts is required")
-        if config.ell is None:
-            raise ValueError("the Markov horizon ell is required")
-        if config.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {config.mode!r}")
+    if config.dataset is None:
+        raise ValueError("an input dataset path is required")
+    if config.Ts is None:
+        raise ValueError("the sampling period Ts is required")
+    if config.ell is None:
+        raise ValueError("the Markov horizon ell is required")
 
-    with _stage("dataset loading"):
-        data = fileio.load_dataset(config.dataset, config.Ts)
-
-    with _stage("delay shifting"):
-        if config.delays:
-            data = IdentDataset(
-                U=apply_delays(data.U, config.delays), Y=data.Y, Ts=data.Ts
-            )
+    data = fileio.load_dataset(config.dataset, config.Ts)
+    if config.delays:
+        data = IdentDataset(U=apply_delays(data.U, config.delays), Y=data.Y, Ts=data.Ts)
 
     mode = config.mode
-    if not config.priors and mode != "unconstrained":
+    # identify_pipeline refuses any other mode
+    if not config.priors and mode in ("exact", "weighted"):
         print(
             "notice: no priors declared; mode coerced to unconstrained",
             file=sys.stderr,
         )
         mode = "unconstrained"
 
-    with _stage("estimation and realization"):
-        result = identify_pipeline(
-            data,
-            config.priors,
-            config.ell,
-            q=config.q,
-            p=config.p,
-            mode=mode,
-            weight=config.weight,
-            order=config.order,
-            tol=config.order_tol,
-        )
+    result = identify_pipeline(
+        data,
+        config.priors,
+        config.ell,
+        q=config.q,
+        p=config.p,
+        mode=mode,
+        weight=config.weight,
+        order=config.order,
+        tol=config.order_tol,
+    )
 
-    with _stage("report emission"):
-        os.makedirs(config.output_dir, exist_ok=True)
-        model_path = os.path.join(config.output_dir, "model.txt")
-        markov_path = os.path.join(config.output_dir, "markov.csv")
-        report_path = os.path.join(config.output_dir, "report.txt")
-        fileio.write_model_file(model_path, result.model)
-        fileio.write_markov_csv(markov_path, result.estimate.markov)
-        _write_report(report_path, config, data, result)
+    os.makedirs(config.output_dir, exist_ok=True)
+    model_path = os.path.join(config.output_dir, "model.txt")
+    markov_path = os.path.join(config.output_dir, "markov.csv")
+    report_path = os.path.join(config.output_dir, "report.txt")
+    fileio.write_model_file(model_path, result.model)
+    fileio.write_markov_csv(markov_path, result.estimate.markov)
+    _write_report(report_path, config, data, result)
 
     return {"model": model_path, "markov": markov_path, "report": report_path}
 
@@ -424,22 +375,6 @@ def _summarize_runs(runs: list[dict[str, float]], dc_available: bool) -> dict[st
     return summary
 
 
-def run_mc_compare(config: RunConfig) -> dict[str, str]:
-    """Run :func:`mc_compare` and write runs.csv plus summary.txt."""
-    runs, summary = mc_compare(config)
-    os.makedirs(config.output_dir, exist_ok=True)
-    runs_path = os.path.join(config.output_dir, "runs.csv")
-    summary_path = os.path.join(config.output_dir, "summary.txt")
-
-    keys = list(runs[0].keys())
-    fileio._write_lines(runs_path, [",".join(keys)] + [
-        ",".join(str(int(r[k])) if k == "run" else f"{r[k]:.17g}" for k in keys) for r in runs
-    ])
-    fileio._write_lines(summary_path, [_format_summary(summary)])
-    print(_format_summary(summary))
-    return {"runs": runs_path, "summary": summary_path}
-
-
 def _format_summary(summary: dict[str, Any]) -> str:
     lines = [f"monte carlo comparison over {summary['runs']} runs"]
     for key in (
@@ -576,12 +511,15 @@ def _add_flags(sub: argparse.ArgumentParser, command: str) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    """Simulate the generator over a generated input and write the dataset CSV."""
     config = _config_from_args(args)
-    path = run_simulate(
-        _generator_model(config), config.input_kind, config.n_samples, config.snr_db,
-        config.seed, args.output,
-    )
-    print(f"wrote {path}")
+    model = _generator_model(config)
+    if config.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {config.seed}")
+    rng = np.random.default_rng(config.seed)
+    U = generate_input(config.input_kind, config.n_samples, model.n_u, rng)
+    fileio.write_dataset(args.output, _simulate_noisy(model, U, config.snr_db, rng))
+    print(f"wrote {args.output}")
     return EXIT_OK
 
 
@@ -608,10 +546,21 @@ def _cmd_compile_priors(args: argparse.Namespace) -> int:
 
 
 def _cmd_mc_compare(args: argparse.Namespace) -> int:
-    run_mc_compare(_config_from_args(args))
+    """Run :func:`mc_compare` and write runs.csv plus summary.txt."""
+    config = _config_from_args(args)
+    runs, summary = mc_compare(config)
+    os.makedirs(config.output_dir, exist_ok=True)
+    keys = list(runs[0].keys())
+    fileio._write_lines(os.path.join(config.output_dir, "runs.csv"), [",".join(keys)] + [
+        ",".join(str(int(r[k])) if k == "run" else f"{r[k]:.17g}" for k in keys) for r in runs
+    ])
+    text = _format_summary(summary)
+    fileio._write_lines(os.path.join(config.output_dir, "summary.txt"), [text])
+    print(text)
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="priorsid",
@@ -640,14 +589,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    import warnings
+
+    args = build_parser().parse_args(argv)
+    # library warnings print as one line, like the error: and notice: lines;
+    # a caller that records warnings still receives them unchanged
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = _format_warning
     try:
         return args.func(args)
     except Exception as err:  # noqa: BLE001 - single funnel to exit codes
         print(f"error: {err}", file=sys.stderr)
-        return _exit_code(err.original if isinstance(err, PipelineStageError) else err)
+        return _exit_code(err)
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

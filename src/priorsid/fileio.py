@@ -316,6 +316,35 @@ def _parse_field(f: dataclasses.Field, value, where: str):
         raise ValueError(f"{where}: {exc}") from exc
 
 
+def _from_dict(entry, what: str, kind_key: str, types: dict[str, type], params):
+    """The ``types[entry[kind_key]]`` built from the other keys of ``entry``.
+
+    ``params(cls)`` maps each key to its field of ``cls``; a key whose field
+    has a default may be left out.  ``what`` names the entry in errors.
+    """
+    if not isinstance(entry, dict) or kind_key not in entry:
+        raise ValueError(f"{what} entry must be a dict with a {kind_key!r} key, got {entry!r}")
+    kind = entry[kind_key]
+    if kind not in types:
+        raise ValueError(f"unknown {what} type {kind!r}; expected one of {sorted(types)}")
+    cls = types[kind]
+    keys = params(cls)
+    extra = set(entry) - set(keys) - {kind_key}
+    if extra:
+        raise ValueError(f"{what} {kind!r} has unknown keys {sorted(extra)}")
+    values = {}
+    for key, f in keys.items():
+        if key in entry:
+            values[f.name] = _parse_field(f, entry[key], f"{what} {kind!r} field {key!r}")
+        elif f.default is dataclasses.MISSING:
+            raise ValueError(f"{what} {kind!r} is missing key {key!r}")
+    return cls(**values)
+
+
+def _prior_params(cls: type) -> dict[str, dataclasses.Field]:
+    return {f.name: f for f in dataclasses.fields(cls)}
+
+
 def prior_from_dict(entry: dict) -> PriorSpec:
     """Build one PriorSpec from its JSON dictionary form.
 
@@ -323,25 +352,7 @@ def prior_from_dict(entry: dict) -> PriorSpec:
     a default may be left out.  A value that is not of its field's type,
     such as a fractional channel index, raises a ValueError naming the field.
     """
-    if not isinstance(entry, dict) or "type" not in entry:
-        raise ValueError(f"prior entry must be a dict with a 'type' key, got {entry!r}")
-    kind = entry["type"]
-    if kind not in _PRIOR_TYPES:
-        raise ValueError(
-            f"unknown prior type {kind!r}; expected one of {sorted(_PRIOR_TYPES)}"
-        )
-    cls = _PRIOR_TYPES[kind]
-    fields = dataclasses.fields(cls)
-    extra = set(entry) - {f.name for f in fields} - {"type"}
-    if extra:
-        raise ValueError(f"prior {kind!r} has unknown keys {sorted(extra)}")
-    values = {}
-    for f in fields:
-        if f.name in entry:
-            values[f.name] = _parse_field(f, entry[f.name], f"prior {kind!r} field {f.name!r}")
-        elif f.default is dataclasses.MISSING:
-            raise ValueError(f"prior {kind!r} is missing key {f.name!r}")
-    return cls(**values)
+    return _from_dict(entry, "prior", "type", _PRIOR_TYPES, _prior_params)
 
 
 def priors_from_file(path) -> list[PriorSpec]:
@@ -376,22 +387,4 @@ def prototype_from_dict(entry: dict) -> PrototypeModel:
     ``gain`` for ``K``.  A value that is not a number raises a ValueError
     naming the prototype and the key.
     """
-    if not isinstance(entry, dict) or "proto" not in entry:
-        raise ValueError(f"generator entry must be a dict with a 'proto' key, got {entry!r}")
-    name = entry["proto"]
-    if name not in _PROTO_TYPES:
-        raise ValueError(
-            f"unknown prototype {name!r}; expected one of {sorted(_PROTO_TYPES)}"
-        )
-    cls = _PROTO_TYPES[name]
-    params = _proto_params(cls)
-    missing = [key for key in params if key not in entry]
-    if missing:
-        raise ValueError(f"prototype {name!r} is missing parameters {missing}")
-    extra = set(entry) - set(params) - {"proto"}
-    if extra:
-        raise ValueError(f"prototype {name!r} has unknown keys {sorted(extra)}")
-    return cls(**{
-        f.name: _parse_field(f, entry[key], f"prototype {name!r} field {key!r}")
-        for key, f in params.items()
-    })
+    return _from_dict(entry, "prototype", "proto", _PROTO_TYPES, _proto_params)

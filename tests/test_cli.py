@@ -2,7 +2,10 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -19,6 +22,7 @@ from priorsid import (
     FirstOrderDecay,
     GainRatio,
     IdentDataset,
+    InfeasibleConstraintsError,
     ZeroChannel,
     MarkovIndexing,
     build_fir_regression,
@@ -380,8 +384,81 @@ class TestIdentifyCommand:
         )
         assert code == EXIT_INFEASIBLE
         err = capsys.readouterr().err
-        assert "infeasible" in err
+        assert err.startswith("error: the compiled constraint set is infeasible")
         assert "rank 1 of 2 rows" in err
+        config = RunConfig(
+            dataset=str(data), Ts=1.0, ell=10, priors=priors_from_file(priors),
+            output_dir=str(tmp_path / "out"),
+        )
+        with pytest.raises(InfeasibleConstraintsError, match="rank 1 of 2 rows"):
+            run_identify(config)
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--dataset", "an input dataset path is required"),
+            ("--ts", "the sampling period Ts is required"),
+            ("--ell", "the Markov horizon ell is required"),
+        ],
+    )
+    def test_required_setting_missing_exits_2(self, tmp_path, capsys, flag, message):
+        settings = {"--dataset": str(tmp_path / "data.csv"), "--ts": "1", "--ell": "10"}
+        del settings[flag]
+        argv = ["identify", "--output-dir", str(tmp_path / "out")]
+        for key, value in settings.items():
+            argv += [key, value]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_delays_shift_the_input_back(self, tmp_path):
+        # the input acts 2 samples late; shifted back, the data fit the undelayed plant
+        rng = np.random.default_rng(0)
+        model = zoh_first_order(2.0, 5.0, 1.0)
+        U = rng.standard_normal((80, 1))
+        late = np.vstack([np.zeros((2, 1)), U[:-2]])
+        data = tmp_path / "data.csv"
+        write_dataset(data, IdentDataset(U=U, Y=simulate(model, late), Ts=1.0))
+        priors = write_priors_file(
+            tmp_path, [{"type": "first_order_decay", "i": 1, "j": 1, "tau": 5.0}]
+        )
+        out_dir = tmp_path / "out"
+        code = main(
+            [
+                "identify", "--dataset", str(data), "--ts", "1", "--ell", "20",
+                "--mode", "exact", "--priors", str(priors), "--delays", "2",
+                "--output-dir", str(out_dir),
+            ]
+        )
+        assert code == EXIT_OK
+        report = (out_dir / "report.txt").read_text().splitlines()
+        assert "delays: 2" in report and "order: 1" in report
+        rows = np.loadtxt(out_dir / "markov.csv", delimiter=",", skiprows=1)
+        truth = markov_sequence(model, 20).blocks.ravel()
+        assert np.max(np.abs(rows[:, 3] - truth)) <= 1e-3
+
+    def test_library_warning_is_one_stderr_line(self, tmp_path):
+        data = make_dataset_file(tmp_path, snr=10.0)
+        argv = [
+            "identify", "--dataset", str(data), "--ts", "1", "--ell", "30",
+            "--mode", "unconstrained", "--output-dir", str(tmp_path / "out"),
+        ]
+        # a caller that records warnings still receives them
+        formatwarning = warnings.formatwarning
+        with pytest.warns(UserWarning, match="kept all 15 states"):
+            assert main(argv) == EXIT_OK
+        assert warnings.formatwarning is formatwarning
+        # pytest records warnings, so the console line is read from a child process
+        src = str(Path(priorsid.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-m", "priorsid.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert child.returncode == EXIT_OK
+        assert child.stderr.splitlines() == [
+            "warning: automatic order selection kept all 15 states of the 15x15 block Hankel: "
+            "no singular value falls below tol=1e-08 of the largest"
+        ]
 
     def test_missing_dataset_exit_code(self, tmp_path):
         code = main(

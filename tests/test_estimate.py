@@ -320,6 +320,13 @@ class TestEqualityExact:
             result = ls_equality_exact(reg, cs)
         np.testing.assert_allclose(result.markov.blocks.ravel(), truth, atol=1e-12)
 
+    @pytest.mark.parametrize("solve", [ls_equality_exact, ls_equality_weighted])
+    def test_set_compiled_for_another_horizon_refused(self, solve):
+        reg = random_regression(np.random.default_rng(97), MarkovIndexing(n_y=1, n_u=1, ell=6), 20)
+        cs = compile_priors([DcGain(i=1, j=1, value=1.0)], MarkovIndexing(n_y=1, n_u=1, ell=5), 1.0)
+        with pytest.raises(ValueError, match="does not match regression indexing"):
+            solve(reg, cs)
+
     def test_empty_constraints_reduce_to_unconstrained(self):
         rng = np.random.default_rng(89)
         model = random_stable_model(rng, n=2, n_u=1, n_y=1)

@@ -102,6 +102,20 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError, match="strictly increasing"):
             load_dataset(path, Ts=1.0)
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ([], "empty file"),
+            (["t,u1,y1", "0,1,2", "1,x,4"], "line 3: cannot parse 'x' as a number"),
+            (["t,u1,y1"], "no data rows"),
+        ],
+    )
+    def test_refused(self, tmp_path, lines, message):
+        path = tmp_path / "d.csv"
+        write_lines(path, lines)
+        with pytest.raises(DatasetFormatError, match=message):
+            load_dataset(path, Ts=1.0)
+
     def test_header_must_start_with_t(self, tmp_path):
         path = tmp_path / "d.csv"
         write_lines(path, ["u1,y1", "1,2"])
@@ -143,6 +157,22 @@ class TestModelFile:
         path = tmp_path / "m.txt"
         path.write_text("1 1 1 1\nA:\n0.5\nB:\n")
         with pytest.raises(DatasetFormatError, match="truncated"):
+            read_model_file(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty model file"),
+            ("1 1 1\nA:\n0.5\n", "expected 'n n_u n_y Ts'"),
+            ("1.5 1 1 1\nA:\n0.5\n", "cannot parse dims line"),
+            ("1 1 1 1\nA:\n0.5\nC:\n1\n", "expected block label 'B:'"),
+            ("2 1 1 1\nA:\n0.5 0\n0\n", "block A row 1: expected 2 entries, found 1"),
+        ],
+    )
+    def test_refused(self, tmp_path, text, message):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        with pytest.raises(DatasetFormatError, match=message):
             read_model_file(path)
 
 
@@ -235,7 +265,7 @@ class TestPrototypeParsing:
         assert proto == FirstOrder(K=2.0, tau=10.0)
 
     def test_missing_param(self):
-        with pytest.raises(ValueError, match="missing parameters"):
+        with pytest.raises(ValueError, match="missing key 'tau'"):
             prototype_from_dict({"proto": "first_order", "gain": 2.0})
 
     def test_unknown_proto(self):

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from priorsid import (
     FirstOrderDecay,
@@ -11,6 +13,7 @@ from priorsid import (
     SecondOrderOsc,
     StateSpaceModel,
     ZeroChannel,
+    apply_similarity,
     block_hankel,
     compile_priors,
     dc_gain,
@@ -24,7 +27,12 @@ from priorsid import (
     zoh_first_order,
     zoh_second_order,
 )
-from helpers import eig_multiset_distance, random_minimal_model, random_stable_model
+from helpers import (
+    eig_multiset_distance,
+    random_minimal_model,
+    random_stable_model,
+    well_conditioned_transform,
+)
 
 GEOMETRIC = MarkovSequence(blocks=[0.0, 1.0, 0.5, 0.25, 0.125], Ts=1.0)
 
@@ -134,6 +142,26 @@ class TestKungRealize:
             np.testing.assert_array_equal(result.model.D, model.D)
             assert eig_multiset_distance(result.model.A, model.A) <= 1e-7
             assert spectral_radius(result.model.A) < 1 + 1e-9
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_similar_generators_realize_alike(self, seed):
+        rng = np.random.default_rng(seed)
+        model = random_minimal_model(rng)
+        twin = apply_similarity(model, well_conditioned_transform(rng, model.n))
+        q = p = model.n + 2
+        first, second = (
+            kung_realize(markov_sequence(m, q + p), q, p, order=model.n) for m in (model, twin)
+        )
+        before, after = (markov_sequence(r.model, q + p).blocks for r in (first, second))
+        assert np.linalg.norm(after - before) <= 1e-12 * np.linalg.norm(before)
+        s = first.singular_values
+        assert np.max(np.abs(second.singular_values - s)) <= 1e-12 * s[0]
+        # the shift equation resolves a state whose Hankel singular value is
+        # sigma_n only to about eps * sigma_1 / sigma_n (sigma_n >= 1e-6 sigma_1
+        # here), so the eigenvalues get a looser gate than the Markov parameters
+        distance = eig_multiset_distance(first.model.A, second.model.A)
+        assert distance <= 1e-10 * spectral_radius(first.model.A)
 
     def test_reconstruction_error_reported(self):
         rng = np.random.default_rng(109)
