@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field, fields
 from typing import Any
 
@@ -594,8 +595,6 @@ def _format_warning(message, category, filename, lineno, line=None) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    import warnings
-
     args = build_parser().parse_args(argv)
     # library warnings print as one line, like the error: and notice: lines;
     # a caller that records warnings still receives them unchanged
