@@ -471,7 +471,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             if key not in reads:
                 raise ValueError(f"{where} is not read by {args.command}")
             if key == "priors":
-                config.priors = [fileio.prior_from_dict(entry) for entry in value]
+                config.priors = fileio._prior_list(value, where)
             else:
                 given.append((key, value, where))
     for key, (flag, _) in _FLAGS.items():

@@ -117,7 +117,7 @@ class FirRegression:
     Phi m ~ Yvec of the same problem has Phi = Psi (x) I_{n_y}: column c
     of Phi is column c // n_y of Psi on the rows of output c % n_y.
     ``Phi`` and ``Yvec`` are derived on each read, for oracles and tests;
-    no solver reads them.
+    no solver reads them.  A regression with no rows is refused.
     """
 
     Psi: np.ndarray
@@ -134,6 +134,8 @@ class FirRegression:
                 f"Psi {np.shape(self.Psi)} and Y {np.shape(self.Y)} do not fit {idx}: "
                 f"expected (rows, {(idx.ell + 1) * idx.n_u}) and (rows, {idx.n_y})"
             )
+        if rows == 0:
+            raise ValueError("empty regression: no usable time samples")
 
     @property
     def Phi(self) -> np.ndarray:
@@ -212,8 +214,6 @@ def _result(
 
 
 def _check_constrained(reg: FirRegression, cs: EqualityConstraintSet) -> None:
-    if reg.Psi.shape[0] == 0:
-        raise ValueError("empty regression: no usable time samples")
     if cs.indexing != reg.indexing:
         raise ValueError(
             f"constraint indexing {cs.indexing} does not match regression "
@@ -230,8 +230,6 @@ def ls_unconstrained(reg: FirRegression) -> EstimateResult:
     times, so Phi's rank is n_y rank(Psi), and the cutoff is the one
     lstsq(Phi, Yvec, rcond=None) would apply, eps max(Phi.shape).
     """
-    if reg.Psi.shape[0] == 0:
-        raise ValueError("empty regression: no usable time samples")
     n_y = reg.indexing.n_y
     rcond = np.finfo(float).eps * n_y * max(reg.Psi.shape)
     M, _, rank, s = np.linalg.lstsq(reg.Psi, reg.Y, rcond=rcond)

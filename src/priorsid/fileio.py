@@ -325,6 +325,8 @@ def _from_dict(entry, what: str, kind_key: str, types: dict[str, type], params):
     if not isinstance(entry, dict) or kind_key not in entry:
         raise ValueError(f"{what} entry must be a dict with a {kind_key!r} key, got {entry!r}")
     kind = entry[kind_key]
+    if not isinstance(kind, str):
+        raise ValueError(f"{what} key {kind_key!r} must be a string, got {kind!r}")
     if kind not in types:
         raise ValueError(f"unknown {what} type {kind!r}; expected one of {sorted(types)}")
     cls = types[kind]
@@ -355,15 +357,28 @@ def prior_from_dict(entry: dict) -> PriorSpec:
     return _from_dict(entry, "prior", "type", _PRIOR_TYPES, _prior_params)
 
 
+def _prior_list(value, where: str) -> list[PriorSpec]:
+    """The priors of a JSON list of entries; any other value raises a ValueError at ``where``."""
+    if not isinstance(value, list):
+        raise ValueError(f"{where}: expected a list of prior entries, got {type(value).__name__}")
+    return [prior_from_dict(entry) for entry in value]
+
+
 def priors_from_file(path) -> list[PriorSpec]:
-    """Read priors from a JSON file: either a list or {"priors": [...]}."""
+    """Read priors from a JSON file: either a list or {"priors": [...]}.
+
+    An object must hold exactly the key ``priors``, so a misspelled key is
+    refused rather than read as no priors.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if isinstance(doc, dict):
-        doc = doc.get("priors", [])
-    if not isinstance(doc, list):
-        raise ValueError(f"{path}: expected a list of prior entries")
-    return [prior_from_dict(entry) for entry in doc]
+        if list(doc) != ["priors"]:
+            raise ValueError(
+                f"{path}: a priors object must hold only the key 'priors', got {list(doc)}"
+            )
+        return _prior_list(doc["priors"], f"{path}: key 'priors'")
+    return _prior_list(doc, str(path))
 
 
 _PROTO_TYPES = {

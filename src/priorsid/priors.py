@@ -287,9 +287,9 @@ class EqualityConstraintSet:
     channel): a block is a set of channels joined by shared rows, its
     columns are all lags of those channels, and A_eq is zero outside
     the blocks.  ``A_eq`` itself is derived from them on first access.
-    A set built from a dense ``A_eq`` finds its blocks from the channels
-    each row touches and keeps copies of them and of b_eq; the arrays
-    are read-only.
+    A set built from a dense ``A_eq`` is assembled from each channel's
+    lags of it by the same code as a set from :func:`compile_priors`,
+    into fresh blocks and a copy of b_eq; the arrays are read-only.
     """
 
     b_eq: np.ndarray
@@ -312,30 +312,42 @@ class EqualityConstraintSet:
             raise ValueError(f"b_eq has length {b.shape[0]} but A_eq has {A.shape[0]} rows")
         if len(provenance) != A.shape[0]:
             raise ValueError("provenance must carry one tag per row")
-        n_ch = indexing.n_y * indexing.n_u
-        touches = A.reshape(A.shape[0], indexing.ell + 1, n_ch).any(axis=1)
-        if not touches.any(axis=1).all():
+        if not A.any(axis=1).all():
             raise ValueError("every constraint row must have at least one nonzero entry")
-        blocks = [
-            ConstraintBlock(rows, cols, A[np.ix_(rows, cols)])
-            for rows, cols in _blocks(touches, indexing.ell)
-        ]
-        self._hold(blocks, b, indexing, provenance)
+        n_ch = indexing.n_y * indexing.n_u
+        lags = A.reshape(A.shape[0], indexing.ell + 1, n_ch)
+        rows = np.arange(A.shape[0])
+        self._assemble([(rows, ch, lags[:, :, ch]) for ch in range(n_ch)], b, indexing, provenance)
 
-    @classmethod
-    def _from_blocks(
-        cls,
-        blocks: list[ConstraintBlock],
-        b_eq: np.ndarray,
-        indexing: MarkovIndexing,
-        provenance: tuple[str, ...],
-    ) -> EqualityConstraintSet:
-        """A set that takes over fresh blocks and b_eq, which no one else may write."""
-        cs = object.__new__(cls)
-        cs._hold(blocks, b_eq, indexing, provenance)
-        return cs
+    def _assemble(self, terms, b_eq, indexing, provenance) -> None:
+        """Build ``blocks`` from ``terms`` and take over ``b_eq``, which no one else may write.
 
-    def _hold(self, blocks, b_eq, indexing, provenance) -> None:
+        Each term ``(rows, ch, lag_rows)`` puts ``lag_rows[r, k]`` at lag k
+        of channel ch (column k n_y n_u + ch) in row ``rows[r]``; no two
+        terms share a row and a channel.  A row with no nonzero term
+        raises a ValueError naming its provenance tag.
+        """
+        ell, n_ch = indexing.ell, indexing.n_y * indexing.n_u
+        touches = np.zeros((len(b_eq), n_ch), dtype=bool)
+        for rows, ch, lag_rows in terms:
+            touches[rows, ch] = lag_rows.any(axis=1)
+        zero = ~touches.any(axis=1)
+        if zero.any():
+            raise ValueError(f"{provenance[zero.argmax()]} compiles to an all-zero constraint row")
+        blocks = []
+        block_of = np.zeros(n_ch, dtype=int)  # channel -> its block
+        slot = np.zeros(n_ch, dtype=int)  # channel -> its place among its block's channels
+        local = np.empty(len(b_eq), dtype=int)  # row -> its place among its block's rows
+        for rows, cols in _blocks(touches, ell):
+            chans = cols[: len(cols) // (ell + 1)]
+            block_of[chans], slot[chans] = len(blocks), np.arange(len(chans))
+            local[rows] = np.arange(len(rows))
+            blocks.append(ConstraintBlock(rows, cols, np.zeros((len(rows), len(cols)))))
+        for rows, ch, lag_rows in terms:
+            hit = touches[rows, ch]  # a row that is zero on ch need not lie in its block
+            if hit.any():
+                A = blocks[block_of[ch]].A
+                A.reshape(len(A), ell + 1, -1)[local[rows[hit]], :, slot[ch]] = lag_rows[hit]
         for array in (b_eq, *(array for block in blocks for array in block)):
             array.setflags(write=False)
         object.__setattr__(self, "b_eq", b_eq)
@@ -437,89 +449,62 @@ def compile_priors(
     line breaks of numpy's array repr (in a ``DcGainMatrix``) and the
     indentation after them become one space.
 
-    Each prior's rows are dense over the lags of its channels.  Which
-    channels each row touches gives the blocks of :func:`_blocks`, and
-    each block's dense sub-matrix is filled through its
-    ``(rows, ell + 1, channels)`` view; no dense A_eq is formed.  A recurrence
-    prior that compiles to the lone M_0 row (its horizon is too short for
-    any recurrence row, and no seed row fits or none was given) triggers a
+    Each prior's rows are dense over the lags of its channels, and go
+    to the shared assembly of :class:`EqualityConstraintSet` channel by
+    channel; no dense A_eq is formed.  A recurrence prior that compiles
+    to the lone M_0 row (its horizon is too short for any recurrence row,
+    and no seed row fits or none was given) triggers a
     :class:`ConstraintCompileWarning`.  A row that cancels to zero, as in
     ``GainRatio(i, j, i, j, 1.0)``, raises a ``ValueError`` naming its prior.
     """
     _require_positive("Ts", Ts)
     ell, n_y, n_u = indexing.ell, indexing.n_y, indexing.n_u
     ones = np.ones((1, ell + 1))
-    parts = []  # (tag, [(i, j, lag rows added to channel (i, j))], rhs)
+    terms, rhs, tags = [], [], []
+
+    def add(tag, channel_rows, values):
+        """One row per value; ``channel_rows`` (i, j, lag rows) on one channel are summed."""
+        rows = np.arange(len(rhs), len(rhs) + len(values))
+        summed = {}
+        for i, j, lag_rows in channel_rows:
+            ch = indexing.index(0, i, j)
+            summed[ch] = summed.get(ch, 0.0) + lag_rows
+        terms.extend((rows, ch, lag_rows) for ch, lag_rows in summed.items())
+        rhs.extend(values)
+        tags.extend([tag] * len(values))
+
     for prior in priors:
         tag = " ".join(line.strip() for line in repr(prior).splitlines())
         if isinstance(prior, DcGain):
-            parts.append((tag, [(prior.i, prior.j, ones)], [prior.value]))
+            add(tag, [(prior.i, prior.j, ones)], [prior.value])
         elif isinstance(prior, DcGainMatrix):
             if prior.matrix.shape != (n_y, n_u):
                 raise ValueError(
                     f"DC-gain matrix has shape {prior.matrix.shape}, "
                     f"expected ({n_y}, {n_u})"
                 )
-            parts += [
-                (tag, [(i, j, ones)], [prior.matrix[i - 1, j - 1]])
-                for j in range(1, n_u + 1)
-                for i in range(1, n_y + 1)
-            ]
+            for j in range(1, n_u + 1):
+                for i in range(1, n_y + 1):
+                    add(tag, [(i, j, ones)], [prior.matrix[i - 1, j - 1]])
         elif isinstance(prior, GainRatio):
-            terms = [(prior.i, prior.j, ones), (prior.p, prior.q, -prior.ratio * ones)]
-            parts.append((tag, terms, [0.0]))
+            add(tag, [(prior.i, prior.j, ones), (prior.p, prior.q, -prior.ratio * ones)], [0.0])
         elif isinstance(prior, _RECURRENCES):
-            block, rhs = _recurrence_rows(prior, ell, Ts)
-            parts.append((tag, [(prior.i, prior.j, block)], rhs))
+            lag_rows, values = _recurrence_rows(prior, ell, Ts)
+            add(tag, [(prior.i, prior.j, lag_rows)], values)
+            if len(values) == 1:
+                warnings.warn(
+                    f"{tag}: horizon ell={ell} yields no recurrence or seed rows; only "
+                    "M_0 = 0 was emitted",
+                    ConstraintCompileWarning,
+                    stacklevel=2,
+                )
         elif isinstance(prior, ZeroChannel):
-            parts.append((tag, [(prior.i, prior.j, np.eye(ell + 1))], [0.0] * (ell + 1)))
+            add(tag, [(prior.i, prior.j, np.eye(ell + 1))], [0.0] * (ell + 1))
         else:
             raise TypeError(f"unknown prior specification {type(prior).__name__}")
-        _, terms, rhs = parts[-1]
-        for i, j, _ in terms:
-            indexing.check_channel(i, j)
-        if isinstance(prior, _RECURRENCES) and len(rhs) == 1:
-            warnings.warn(
-                f"{tag}: horizon ell={ell} yields no recurrence or seed rows; only "
-                "M_0 = 0 was emitted",
-                ConstraintCompileWarning,
-                stacklevel=2,
-            )
-
-    # each part's terms summed per channel, as if added into a zero A_eq
-    n_rows = sum(len(rhs) for _, _, rhs in parts)
-    touches = np.zeros((n_rows, n_y * n_u), dtype=bool)
-    b_eq, tags, sums = np.empty(n_rows), [], []
-    for tag, terms, rhs in parts:
-        rows = np.arange(len(tags), len(tags) + len(rhs))
-        channels = {}
-        for i, j, block in terms:
-            ch = (j - 1) * n_y + (i - 1)  # column ch of lag k is k * n_y * n_u + ch
-            channels[ch] = channels.get(ch, 0.0) + block
-        for ch, block in channels.items():
-            touches[rows, ch] = block.any(axis=1)
-            sums.append((rows, ch, block))
-        b_eq[rows] = rhs
-        tags += [tag] * len(rhs)
-    del parts
-    zero = ~touches.any(axis=1)
-    if zero.any():
-        raise ValueError(f"{tags[zero.argmax()]} compiles to an all-zero constraint row")
-
-    blocks = []
-    block_of = np.zeros(n_y * n_u, dtype=int)  # channel -> its block
-    slot = np.zeros(n_y * n_u, dtype=int)  # channel -> its place among its block's channels
-    local = np.empty(n_rows, dtype=int)  # row -> its place among its block's rows
-    for rows, cols in _blocks(touches, ell):
-        chans = cols[: len(cols) // (ell + 1)]
-        block_of[chans], slot[chans] = len(blocks), np.arange(len(chans))
-        local[rows] = np.arange(len(rows))
-        blocks.append(ConstraintBlock(rows, cols, np.zeros((len(rows), len(cols)))))
-    for rows, ch, block in sums:
-        hit = touches[rows, ch]  # a row that is zero on ch need not lie in its block
-        A = blocks[block_of[ch]].A
-        A.reshape(len(A), ell + 1, -1)[local[rows[hit]], :, slot[ch]] = block[hit]
-    return EqualityConstraintSet._from_blocks(blocks, b_eq, indexing, tuple(tags))
+    cs = object.__new__(EqualityConstraintSet)  # there is no dense A_eq for __init__
+    cs._assemble(terms, np.array(rhs, dtype=float), indexing, tuple(tags))
+    return cs
 
 
 def _rank(s: np.ndarray, shape: tuple[int, ...]) -> int:

@@ -524,6 +524,33 @@ class TestIdentifyCommand:
         assert "field 'i'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"prior": [{"type": "first_order_decay", "i": 1, "j": 1, "tau": 10.0}]}',
+             "must hold only the key 'priors'"),
+            ('{"proto": {}}', "must hold only the key 'priors'"),
+            ('[{"type": ["first_order_decay"], "i": 1, "j": 1, "tau": 10.0}]',
+             "prior key 'type' must be a string"),
+        ],
+        ids=["misspelled-key", "proto-key", "kind-not-a-string"],
+    )
+    def test_malformed_priors_file_exit_code(self, tmp_path, capsys, text, message):
+        data = make_dataset_file(tmp_path, snr=10.0)
+        priors = tmp_path / "typo.json"
+        priors.write_text(text)
+        code = main(
+            [
+                "identify", "--dataset", str(data), "--ts", "1", "--ell", "30",
+                "--mode", "exact", "--priors", str(priors),
+                "--output-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("g", [1.0, 1e6, 1e12, 1e15])
     @pytest.mark.parametrize(
         "n_u, entries",
@@ -571,6 +598,9 @@ class TestIdentifyCommand:
             ("order_tol", "tight", "config key 'order_tol'"),
             ("mode", 5, "config key 'mode': 5 is not a str"),
             ("delays", [0.5], "config key 'delays'"),
+            ("priors", 3, "config key 'priors': expected a list of prior entries, got int"),
+            ("priors", {"type": "zero_channel", "i": 1, "j": 1},
+             "config key 'priors': expected a list of prior entries, got dict"),
         ],
     )
     def test_config_value_of_wrong_type_exit_code(self, tmp_path, capsys, key, value, message):

@@ -243,6 +243,15 @@ class TestBuildFirRegression:
         with pytest.raises(ValueError, match="do not fit"):
             FirRegression(Psi=np.zeros((4, 6)), Y=np.zeros(8), indexing=idx, Ts=1.0)
 
+    def test_empty_regression(self):
+        with pytest.raises(ValueError, match="empty regression: no usable time samples"):
+            FirRegression(
+                Psi=np.zeros((0, 2)),
+                Y=np.zeros((0, 1)),
+                indexing=MarkovIndexing(n_y=1, n_u=1, ell=1),
+                Ts=1.0,
+            )
+
 
 class TestUnconstrained:
     def test_identity_system(self):
@@ -288,16 +297,6 @@ class TestUnconstrained:
         result = ls_unconstrained(reg)
         assert result.diagnostics["rank_deficient"]
         assert result.diagnostics["rank"] < reg.indexing.size
-
-    def test_empty_regression(self):
-        reg = FirRegression(
-            Psi=np.zeros((0, 2)),
-            Y=np.zeros((0, 1)),
-            indexing=MarkovIndexing(n_y=1, n_u=1, ell=1),
-            Ts=1.0,
-        )
-        with pytest.raises(ValueError, match="empty"):
-            ls_unconstrained(reg)
 
 
 class TestEqualityExact:

@@ -228,9 +228,17 @@ class TestPriorParsing:
         assert parsed[5].seed == (1.0, 2.0)
         assert isinstance(parsed[6], ZeroChannel)
 
-    def test_unknown_type(self):
-        with pytest.raises(ValueError, match="unknown prior type"):
-            prior_from_dict({"type": "bogus"})
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"type": "bogus"}, "unknown prior type 'bogus'"),
+            ({"type": ["dc_gain"]}, r"prior key 'type' must be a string, got \['dc_gain'\]"),
+        ],
+        ids=["unknown", "not-a-string"],
+    )
+    def test_unknown_type(self, entry, message):
+        with pytest.raises(ValueError, match=message):
+            prior_from_dict(entry)
 
     def test_missing_key(self):
         with pytest.raises(ValueError, match="missing key"):
@@ -258,6 +266,27 @@ class TestPriorParsing:
         as_dict.write_text('{"priors": [{"type": "zero_channel", "i": 1, "j": 1}]}')
         assert priors_from_file(as_list) == priors_from_file(as_dict)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"prior": [{"type": "zero_channel", "i": 1, "j": 1}]}',
+             r"must hold only the key 'priors', got \['prior'\]"),
+            ('{"proto": {}}', r"must hold only the key 'priors', got \['proto'\]"),
+            ('{"priors": [], "notes": "x"}', "must hold only the key 'priors'"),
+            ('{"priors": 3}', "key 'priors': expected a list of prior entries, got int"),
+            ('{"priors": {"type": "zero_channel", "i": 1, "j": 1}}',
+             "key 'priors': expected a list of prior entries, got dict"),
+            ('"zero_channel"', "expected a list of prior entries, got str"),
+        ],
+        ids=["misspelled-key", "proto-key", "extra-key", "int", "one-entry", "string"],
+    )
+    def test_priors_file_refused(self, tmp_path, text, message):
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message) as info:
+            priors_from_file(path)
+        assert str(info.value).startswith(f"{path}: ")
+
 
 class TestPrototypeParsing:
     def test_first_order(self):
@@ -268,9 +297,17 @@ class TestPrototypeParsing:
         with pytest.raises(ValueError, match="missing key 'tau'"):
             prototype_from_dict({"proto": "first_order", "gain": 2.0})
 
-    def test_unknown_proto(self):
-        with pytest.raises(ValueError, match="unknown prototype"):
-            prototype_from_dict({"proto": "owl"})
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"proto": "owl"}, "unknown prototype type 'owl'"),
+            ({"proto": {}}, "prototype key 'proto' must be a string, got {}"),
+        ],
+        ids=["unknown", "not-a-string"],
+    )
+    def test_unknown_proto(self, entry, message):
+        with pytest.raises(ValueError, match=message):
+            prototype_from_dict(entry)
 
     def test_extra_key(self):
         with pytest.raises(ValueError, match="unknown keys"):

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from priorsid import (
@@ -77,6 +77,11 @@ SHORT_HORIZON = [
 ]
 
 
+def stored_blocks(cs):
+    """The blocks of ``cs`` as (rows, cols, bytes of A), for exact comparison."""
+    return [(rows.tolist(), cols.tolist(), A.tobytes()) for rows, cols, A in cs.blocks]
+
+
 class TestMarkovIndexing:
     def test_bijective_enumeration(self):
         idx = MarkovIndexing(n_y=2, n_u=3, ell=4)
@@ -103,6 +108,10 @@ class TestMarkovIndexing:
             idx.index(0, 1, 3)
         with pytest.raises(ValueError, match="lag"):
             idx.index(2, 1, 1)
+        with pytest.raises(ValueError, match=r"vector has length 7, expected 8"):
+            idx.unvec(np.zeros(7), Ts=1.0)
+        with pytest.raises(ValueError, match=r"n_y and n_u must be >= 1, got \(0, 2\)"):
+            MarkovIndexing(n_y=0, n_u=2, ell=1)
 
     def test_vec_unvec_roundtrip(self):
         rng = np.random.default_rng(53)
@@ -315,9 +324,6 @@ class TestCompile:
         # bit for bit; so do errors
         priors, idx = case
 
-        def stored_blocks(cs):
-            return [(r.tolist(), c.tolist(), A.tobytes()) for r, c, A in cs.blocks]
-
         def oracle_blocks(cs):
             return [(r.tolist(), c.tolist(), cs.A_eq[np.ix_(r, c)].tobytes())
                     for r, c in nonzero_blocks(cs)]
@@ -334,6 +340,11 @@ class TestCompile:
                     out = str(exc)
             results.append((out, [str(w.message) for w in caught]))
         assert results[0] == results[1]
+
+    def test_unknown_prior_refused(self):
+        # the JSON form of a prior, not yet read by prior_from_dict
+        with pytest.raises(TypeError, match="unknown prior specification dict"):
+            compile_priors([{"type": "dc_gain", "i": 1, "j": 1, "value": 2.0}], SISO3, Ts=1.0)
 
     def test_empty_priors(self):
         cs = compile_priors([], SISO3, Ts=1.0)
@@ -635,6 +646,15 @@ class TestEqualityConstraintSetValidation:
                 provenance=("bad",),
             )
 
+    def test_b_eq_length_checked(self):
+        with pytest.raises(ValueError, match="b_eq has length 1 but A_eq has 2 rows"):
+            EqualityConstraintSet(
+                A_eq=np.ones((2, SISO3.size)),
+                b_eq=np.zeros(1),
+                indexing=SISO3,
+                provenance=("a", "b"),
+            )
+
     def test_provenance_length_checked(self):
         with pytest.raises(ValueError, match="provenance"):
             EqualityConstraintSet(
@@ -643,3 +663,43 @@ class TestEqualityConstraintSetValidation:
                 indexing=SISO3,
                 provenance=("only-one",),
             )
+
+
+class TestDenseAssembly:
+    # a set built from dense rows and a compiled set share one assembly, so
+    # these pin it against the np.nonzero oracle and against itself
+    @settings(deadline=None, max_examples=200)
+    @given(
+        n_y=st.integers(1, 3), n_u=st.integers(1, 3), ell=st.integers(0, 6),
+        n_rows=st.integers(0, 12), density=st.floats(0.0, 0.3), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dense_rows_round_trip(self, n_y, n_u, ell, n_rows, density, seed):
+        rng = np.random.default_rng(seed)
+        idx = MarkovIndexing(n_y=n_y, n_u=n_u, ell=ell)
+        A = np.where(rng.random((n_rows, idx.size)) < density,
+                     rng.standard_normal((n_rows, idx.size)), 0.0)
+        A[np.arange(n_rows), rng.integers(0, idx.size, n_rows)] = rng.uniform(0.5, 2.0, n_rows)
+        b = rng.standard_normal(n_rows)
+        cs = EqualityConstraintSet(A, b, idx, tuple(f"r{r}" for r in range(n_rows)))
+        assert cs.A_eq.tobytes() == A.tobytes() and cs.b_eq.tobytes() == b.tobytes()
+        assert stored_blocks(cs) == [
+            (rows.tolist(), cols.tolist(), A[np.ix_(rows, cols)].tobytes())
+            for rows, cols in nonzero_blocks(cs)
+        ]
+
+    @settings(deadline=None, max_examples=200)
+    @given(case=prior_sets(coupled=True, every_kind=True))
+    def test_compiled_set_rebuilt_from_its_rows(self, case):
+        priors, idx = case
+        try:
+            cs = compile_quietly(priors, idx)
+        except ValueError:  # a GainRatio of a channel to itself cancelled to zero
+            assume(False)
+        rebuilt = EqualityConstraintSet(cs.A_eq, cs.b_eq, idx, cs.provenance)
+        assert stored_blocks(rebuilt) == stored_blocks(cs)
+        assert rebuilt.b_eq.tobytes() == cs.b_eq.tobytes()
+        assert rebuilt.provenance == cs.provenance
+        assert rebuilt.consistency == cs.consistency
+        assert [b.rank for b in rebuilt.consistency.blocks] == [
+            b.rank for b in cs.consistency.blocks
+        ]
