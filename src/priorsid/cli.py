@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -28,14 +27,14 @@ import numpy as np
 
 from . import fileio
 from .estimate import (
+    MODES,
     IdentDataset,
     build_fir_regression,
-    ls_equality_exact,
-    ls_equality_weighted,
+    estimate_markov,
     ls_unconstrained,
 )
 from .priors import InfeasibleConstraintsError, MarkovIndexing, PriorSpec, compile_priors
-from .realize import DEFAULT_ORDER_TOL, MODES, identify_pipeline
+from .realize import DEFAULT_ORDER_TOL, identify_pipeline
 from .statespace import StateSpaceModel, dc_gain, markov_sequence, simulate
 
 __all__ = [
@@ -90,7 +89,6 @@ def _exit_code(exc: BaseException) -> int:
         return EXIT_INFEASIBLE
     if isinstance(exc, (np.linalg.LinAlgError, ArithmeticError)):
         return EXIT_NUMERICAL
-    # a json.JSONDecodeError is a ValueError
     if isinstance(exc, (ValueError, TypeError, KeyError, OSError)):
         return EXIT_INPUT
     return 1
@@ -138,15 +136,15 @@ def _add_output_noise(
     return Y + rng.standard_normal(Y.shape) * sigma
 
 
-def _simulate_noisy(
-    model: StateSpaceModel,
-    U: np.ndarray,
-    snr_db: float | None,
-    rng: np.random.Generator,
-) -> IdentDataset:
+def _draw_dataset(config: RunConfig, model: StateSpaceModel, *run: int) -> IdentDataset:
+    """Response to an input, then output noise, drawn from one ``default_rng([seed, *run])``."""
+    if config.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {config.seed}")
+    rng = np.random.default_rng([config.seed, *run])
+    U = generate_input(config.input_kind, config.n_samples, model.n_u, rng)
     Y = simulate(model, U)
-    if snr_db is not None:
-        Y = _add_output_noise(Y, snr_db, rng)
+    if config.snr_db is not None:
+        Y = _add_output_noise(Y, config.snr_db, rng)
     return IdentDataset(U=U, Y=Y, Ts=model.Ts)
 
 
@@ -192,25 +190,12 @@ def run_identify(config: RunConfig) -> dict[str, str]:
     if config.delays:
         data = IdentDataset(U=apply_delays(data.U, config.delays), Y=data.Y, Ts=data.Ts)
 
-    mode = config.mode
-    # identify_pipeline refuses any other mode
-    if not config.priors and mode in ("exact", "weighted"):
-        print(
-            "notice: no priors declared; mode coerced to unconstrained",
-            file=sys.stderr,
-        )
-        mode = "unconstrained"
+    if not config.priors and config.mode in ("exact", "weighted"):
+        print("notice: no priors declared; mode coerced to unconstrained", file=sys.stderr)
 
     result = identify_pipeline(
-        data,
-        config.priors,
-        config.ell,
-        q=config.q,
-        p=config.p,
-        mode=mode,
-        weight=config.weight,
-        order=config.order,
-        tol=config.order_tol,
+        data, config.priors, config.ell, q=config.q, p=config.p, mode=config.mode,
+        weight=config.weight, order=config.order, tol=config.order_tol,
     )
 
     os.makedirs(config.output_dir, exist_ok=True)
@@ -292,8 +277,6 @@ def mc_compare(config: RunConfig) -> tuple[list[dict[str, float]], dict[str, Any
     both.  Returns the per-run records and a summary (medians, IQRs, win
     rate).  Two errors closer than ``MC_TIE_TOL`` count as a tie.
     """
-    if config.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {config.seed}")
     if config.mc_runs < 2:
         raise ValueError(f"mc_runs must be >= 2, got {config.mc_runs}")
     if config.ell is None:
@@ -304,9 +287,8 @@ def mc_compare(config: RunConfig) -> tuple[list[dict[str, float]], dict[str, Any
         raise ValueError(f"mc-compare mode must be one of {MC_MODES}, got {config.mode!r}")
 
     model = _generator_model(config)
-    ell = config.ell
-    indexing = MarkovIndexing(n_y=model.n_y, n_u=model.n_u, ell=ell)
-    m_true = indexing.vec(markov_sequence(model, ell))
+    indexing = MarkovIndexing(n_y=model.n_y, n_u=model.n_u, ell=config.ell)
+    m_true = indexing.vec(markov_sequence(model, config.ell))
     scale = float(np.linalg.norm(m_true))
     if scale == 0.0:
         raise ValueError("the ground-truth Markov sequence is identically zero")
@@ -318,15 +300,9 @@ def mc_compare(config: RunConfig) -> tuple[list[dict[str, float]], dict[str, Any
     cs = compile_priors(config.priors, indexing, model.Ts)
     runs: list[dict[str, float]] = []
     for run_index in range(config.mc_runs):
-        rng = np.random.default_rng([config.seed, run_index])
-        U = generate_input(config.input_kind, config.n_samples, model.n_u, rng)
-        data = _simulate_noisy(model, U, config.snr_db, rng)
-        reg = build_fir_regression(data, ell)
+        reg = build_fir_regression(_draw_dataset(config, model, run_index), config.ell)
         est_u = ls_unconstrained(reg)
-        if config.mode == "exact":
-            est_c = ls_equality_exact(reg, cs)
-        else:
-            est_c = ls_equality_weighted(reg, cs, config.weight)
+        est_c = estimate_markov(reg, cs, config.mode, config.weight)
         record: dict[str, float] = {
             "run": float(run_index),
             "markov_err_unconstrained": float(
@@ -460,8 +436,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     given = []  # (key, value, where to blame); flags come last, so they win
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = fileio._load_json(args.config)
         if not isinstance(raw, dict):
             raise ValueError(f"{args.config}: config file must hold a JSON object")
         for key, value in raw.items():
@@ -514,12 +489,7 @@ def _add_flags(sub: argparse.ArgumentParser, command: str) -> None:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     """Simulate the generator over a generated input and write the dataset CSV."""
     config = _config_from_args(args)
-    model = _generator_model(config)
-    if config.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {config.seed}")
-    rng = np.random.default_rng(config.seed)
-    U = generate_input(config.input_kind, config.n_samples, model.n_u, rng)
-    fileio.write_dataset(args.output, _simulate_noisy(model, U, config.snr_db, rng))
+    fileio.write_dataset(args.output, _draw_dataset(config, _generator_model(config)))
     print(f"wrote {args.output}")
     return EXIT_OK
 

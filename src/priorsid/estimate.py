@@ -2,7 +2,8 @@
 
 Over a horizon of ell lags the model output is approximated by the
 truncated convolution y(t) = sum_k M_k u(t-k), which is linear in the
-stacked Markov vector m.  Three solvers are provided:
+stacked Markov vector m.  Three solvers are provided, and
+:func:`estimate_markov` runs the one a mode name in ``MODES`` selects:
 
 * :func:`ls_unconstrained` - plain least squares, minimum-norm when the
   regressor is rank deficient (short or poorly exciting data never aborts,
@@ -39,7 +40,7 @@ from .priors import (
     InfeasibleConstraintsError,
     MarkovIndexing,
 )
-from .statespace import MarkovSequence, _require_positive
+from .statespace import MarkovSequence, _freeze, _require_positive
 
 __all__ = [
     "IdentDataset",
@@ -51,7 +52,10 @@ __all__ = [
     "ls_equality_exact",
     "ls_equality_weighted",
     "default_weight",
+    "estimate_markov",
 ]
+
+MODES = ("unconstrained", "exact", "weighted")
 
 
 class EstimationWarning(UserWarning):
@@ -84,12 +88,8 @@ class IdentDataset:
         if Y.size and not np.all(np.isfinite(Y)):
             raise ValueError("Y contains non-finite entries")
         Ts = _require_positive("Ts", self.Ts)
-        U = U.copy()
-        Y = Y.copy()
-        U.setflags(write=False)
-        Y.setflags(write=False)
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "Y", Y)
+        object.__setattr__(self, "U", _freeze(U.copy()))
+        object.__setattr__(self, "Y", _freeze(Y.copy()))
         object.__setattr__(self, "Ts", Ts)
 
     @property
@@ -297,7 +297,7 @@ def ls_equality_exact(reg: FirRegression, cs: EqualityConstraintSet) -> Estimate
     coordinates m = V1 a + V2 z of :func:`_block_coordinates`.  The
     constraints fix a = a0 = S1^-1 U1^T b_eq, and z is the least-squares
     solution of Phi V2 z = Yvec - Phi V1 a0: the weighted solution with no
-    slack, its limit as the weight grows.  ``null_dim`` is the column count
+    slack, its limit as the weight grows.  ``columns`` is the column count
     of V2, the size less the rank of ``cs.consistency``.  An empty set has
     V2 = I and gives the unconstrained estimate.  The returned estimate
     satisfies the constraints to roughly machine precision.
@@ -321,16 +321,8 @@ def ls_equality_exact(reg: FirRegression, cs: EqualityConstraintSet) -> Estimate
             stacklevel=2,
         )
     z, _, rank, s = np.linalg.lstsq(G2, d, rcond=None)
-    m_hat = lift(a0, z)
     diagnostics = _lstsq_diagnostics(G2.shape[1], s, rank)
-    diagnostics.update(
-        {
-            "constraint_rows": cs.n_rows,
-            "constraint_rank": report.rank,
-            "null_dim": G2.shape[1],
-        }
-    )
-    return _result(reg, m_hat, "exact", diagnostics, cs)
+    return _result(reg, lift(a0, z), "exact", diagnostics, cs)
 
 
 def default_weight(reg: FirRegression, cs: EqualityConstraintSet) -> float:
@@ -441,3 +433,19 @@ def ls_equality_weighted(
             stacklevel=2,
         )
     return _result(reg, m_hat, f"weighted(w={weight:g})", diagnostics, cs)
+
+
+def estimate_markov(
+    reg: FirRegression, cs: EqualityConstraintSet, mode: str, weight: float | None = None
+) -> EstimateResult:
+    """Run the solver of ``mode``, one of ``MODES``, with the constraints ``cs``.
+
+    A set with no rows is solved by :func:`ls_unconstrained` in every mode.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "unconstrained" or not cs.n_rows:
+        return ls_unconstrained(reg)
+    if mode == "exact":
+        return ls_equality_exact(reg, cs)
+    return ls_equality_weighted(reg, cs, weight)

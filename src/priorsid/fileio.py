@@ -358,10 +358,25 @@ def prior_from_dict(entry: dict) -> PriorSpec:
 
 
 def _prior_list(value, where: str) -> list[PriorSpec]:
-    """The priors of a JSON list of entries; any other value raises a ValueError at ``where``."""
+    """The priors of a JSON list of entries; a ValueError starts with ``where`` (and index)."""
     if not isinstance(value, list):
         raise ValueError(f"{where}: expected a list of prior entries, got {type(value).__name__}")
-    return [prior_from_dict(entry) for entry in value]
+    priors = []
+    for index, entry in enumerate(value):
+        try:
+            priors.append(prior_from_dict(entry))
+        except ValueError as exc:
+            raise ValueError(f"{where}: entry {index}: {exc}") from exc
+    return priors
+
+
+def _load_json(path):
+    """The JSON value in the file ``path``; a ValueError for bad UTF-8 or JSON names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def priors_from_file(path) -> list[PriorSpec]:
@@ -370,8 +385,7 @@ def priors_from_file(path) -> list[PriorSpec]:
     An object must hold exactly the key ``priors``, so a misspelled key is
     refused rather than read as no priors.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_json(path)
     if isinstance(doc, dict):
         if list(doc) != ["priors"]:
             raise ValueError(

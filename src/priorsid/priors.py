@@ -25,7 +25,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .statespace import MarkovSequence, _require_positive
+from .statespace import MarkovSequence, _freeze, _require_positive
 
 __all__ = [
     "MarkovIndexing",
@@ -142,9 +142,7 @@ class DcGainMatrix:
         matrix = np.atleast_2d(np.asarray(self.matrix, dtype=float))
         if matrix.ndim != 2 or not np.all(np.isfinite(matrix)):
             raise ValueError("matrix must be a finite 2-D array")
-        matrix = matrix.copy()
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "matrix", _freeze(matrix.copy()))
 
 
 @dataclass(frozen=True)
@@ -365,8 +363,7 @@ class EqualityConstraintSet:
         A = np.zeros((self.n_rows, self.indexing.size))
         for rows, cols, block in self.blocks:
             A[np.ix_(rows, cols)] = block
-        A.setflags(write=False)
-        return A
+        return _freeze(A)
 
     def residual(self, m: np.ndarray) -> np.ndarray:
         """A_eq m - b_eq for a stacked Markov vector m, block by block."""

@@ -25,11 +25,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .estimate import (
     EstimateResult,
+    EstimationWarning,
     IdentDataset,
     build_fir_regression,
-    ls_equality_exact,
-    ls_equality_weighted,
-    ls_unconstrained,
+    estimate_markov,
 )
 from .priors import (
     EqualityConstraintSet,
@@ -51,8 +50,6 @@ __all__ = [
 # Auto order selection keeps singular values above this fraction of the largest.
 DEFAULT_ORDER_TOL = 1e-8
 
-MODES = ("unconstrained", "exact", "weighted")
-
 
 @dataclass(frozen=True)
 class RealizationResult:
@@ -61,7 +58,8 @@ class RealizationResult:
     ``order_saturated`` is true when the automatic order rule kept every
     state the Hankel allows, min(q n_y, p n_u): the estimate then shows no
     low-rank structure at the cutoff.  ``q`` and ``p`` are the Hankel block
-    shape the model was realized from.
+    shape the model was realized from, and ``realized`` is the model's
+    Markov sequence over the horizon of the sequence it was realized from.
     :func:`identify_pipeline` also attaches the estimate, the compiled
     constraint set and the constraint residual of the realized model.
     """
@@ -73,6 +71,7 @@ class RealizationResult:
     reconstruction_error: float
     q: int
     p: int
+    realized: MarkovSequence
     estimate: EstimateResult | None = None
     constraints: EqualityConstraintSet | None = None
     realized_constraint_residual: float | None = None
@@ -146,10 +145,11 @@ def kung_realize(
         tol: relative singular-value cutoff for the automatic order rule, in [0, 1).
 
     Returns:
-        RealizationResult; ``reconstruction_error`` is the Frobenius norm of
-        the mismatch between the realized and given M_1 .. M_{q+p-1}.  When
-        the automatic rule keeps all min(q n_y, p n_u) states, the result is
-        flagged ``order_saturated`` and a warning is issued.
+        RealizationResult; ``realized`` holds the model's M_0 .. M_ell, and
+        ``reconstruction_error`` is the Frobenius norm of its mismatch with
+        the given M_1 .. M_{q+p-1}.  When the automatic rule keeps all
+        min(q n_y, p n_u) states, the result is flagged ``order_saturated``
+        and an EstimationWarning is issued.
     """
     _check_realization_settings(q, tol)
     H = block_hankel(markov, q, p)
@@ -157,11 +157,8 @@ def kung_realize(
     U, s, Vt = np.linalg.svd(H, full_matrices=False)
 
     max_order = min(q * n_y, p * n_u)
-    if order is None:
-        if s.size == 0 or s[0] <= 0.0:
-            n = 0
-        else:
-            n = int(np.count_nonzero(s > tol * s[0]))
+    if order is None:  # a zero Hankel keeps no state
+        n = int(np.count_nonzero(s > tol * s[0])) if s.size else 0
     else:
         n = int(order)
         if n < 0 or n > max_order:
@@ -173,6 +170,7 @@ def kung_realize(
         warnings.warn(
             f"automatic order selection kept all {n} states of the {q}x{p} block Hankel: "
             f"no singular value falls below tol={tol:g} of the largest",
+            EstimationWarning,
             stacklevel=2,
         )
 
@@ -182,13 +180,11 @@ def kung_realize(
     A, _, _, _ = np.linalg.lstsq(obs[:-n_y], obs[n_y:], rcond=None)
     model = StateSpaceModel(A=A, B=ctr[:, :n_u], C=obs[:n_y], D=markov.blocks[0], Ts=markov.Ts)
 
-    realized = markov_sequence(model, q + p - 1)
-    error = float(
-        np.linalg.norm(realized.blocks[1:] - markov.blocks[1 : q + p])
-    )
+    realized = markov_sequence(model, markov.ell)
+    error = float(np.linalg.norm(realized.blocks[1 : q + p] - markov.blocks[1 : q + p]))
     return RealizationResult(
         model=model, singular_values=s, order=n, order_saturated=saturated,
-        reconstruction_error=error, q=q, p=p,
+        reconstruction_error=error, q=q, p=p, realized=realized,
     )
 
 
@@ -212,7 +208,8 @@ def identify_pipeline(
             here, so choose ell * Ts comfortably past the dominant settling
             time (ell * Ts >= 5 tau_dominant is a reasonable rule of thumb).
         q, p: Hankel block shape; default :func:`default_hankel_shape`.
-        mode: "unconstrained", "exact" or "weighted".
+        mode: "unconstrained", "exact" or "weighted", run by
+            :func:`estimate_markov`; with no priors every mode is unconstrained.
         weight: weighting factor for the weighted mode (None = default rule).
         order, tol: passed to :func:`kung_realize`.
 
@@ -222,8 +219,6 @@ def identify_pipeline(
         active, the constraint residual re-evaluated on the realized
         model's Markov sequence.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     q_default, p_default = default_hankel_shape(ell)
     q = q_default if q is None else q
     p = p_default if p is None else p
@@ -231,18 +226,9 @@ def identify_pipeline(
     _check_realization_settings(q, tol)  # before any regressor is built
 
     cs = compile_priors(priors, MarkovIndexing(n_y=data.n_y, n_u=data.n_u, ell=ell), data.Ts)
-    reg = build_fir_regression(data, ell)
-    if mode == "unconstrained":
-        est = ls_unconstrained(reg)
-    elif mode == "exact":
-        est = ls_equality_exact(reg, cs)
-    else:
-        est = ls_equality_weighted(reg, cs, weight)
-
+    est = estimate_markov(build_fir_regression(data, ell), cs, mode, weight)
     result = kung_realize(est.markov, q, p, order=order, tol=tol)
-    realized_residual = None
-    if cs.n_rows:
-        realized_residual = constraint_residual(cs, markov_sequence(result.model, ell))
+    realized_residual = constraint_residual(cs, result.realized) if cs.n_rows else None
     return replace(
         result, estimate=est, constraints=cs, realized_constraint_residual=realized_residual
     )

@@ -25,6 +25,7 @@ from priorsid import (
     InfeasibleConstraintsError,
     ZeroChannel,
     MarkovIndexing,
+    StateSpaceModel,
     build_fir_regression,
     compile_priors,
     identify_pipeline,
@@ -531,9 +532,14 @@ class TestIdentifyCommand:
              "must hold only the key 'priors'"),
             ('{"proto": {}}', "must hold only the key 'priors'"),
             ('[{"type": ["first_order_decay"], "i": 1, "j": 1, "tau": 10.0}]',
-             "prior key 'type' must be a string"),
+             "entry 0: prior key 'type' must be a string"),
+            ('[{"type": "first_order_decay",', "Expecting property name"),
+            ('[{"type": "zero_channel", "i": 1, "j": 1}, {"type": "dc_gain", "i": 1, "j": 1}]',
+             "entry 1: prior 'dc_gain' is missing key 'value'"),
+            ("[3]", "entry 0: prior entry must be a dict with a 'type' key, got 3"),
         ],
-        ids=["misspelled-key", "proto-key", "kind-not-a-string"],
+        ids=["misspelled-key", "proto-key", "kind-not-a-string", "truncated", "entry-error",
+             "entry-not-a-dict"],
     )
     def test_malformed_priors_file_exit_code(self, tmp_path, capsys, text, message):
         data = make_dataset_file(tmp_path, snr=10.0)
@@ -548,7 +554,7 @@ class TestIdentifyCommand:
         )
         assert code == EXIT_INPUT
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert err.startswith(f"error: {priors}: ") and message in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("g", [1.0, 1e6, 1e12, 1e15])
@@ -601,6 +607,8 @@ class TestIdentifyCommand:
             ("priors", 3, "config key 'priors': expected a list of prior entries, got int"),
             ("priors", {"type": "zero_channel", "i": 1, "j": 1},
              "config key 'priors': expected a list of prior entries, got dict"),
+            ("priors", [{"type": "dc_gain", "i": 1, "j": 1}],
+             "config key 'priors': entry 0: prior 'dc_gain' is missing key 'value'"),
         ],
     )
     def test_config_value_of_wrong_type_exit_code(self, tmp_path, capsys, key, value, message):
@@ -608,6 +616,42 @@ class TestIdentifyCommand:
         assert code == EXIT_INPUT
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [('{"ell": 30,', "Expecting property name"),
+         ("[30]", "config file must hold a JSON object")],
+        ids=["truncated", "list"],
+    )
+    def test_config_file_refused(self, tmp_path, capsys, text, message):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(text)
+        code = main(["identify", "--config", str(config_path), "--dataset",
+                     str(make_dataset_file(tmp_path)), "--ts", "1",
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config_path}: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", ["unconstrained", "exact", "weighted"])
+    def test_no_priors_solves_unconstrained_in_every_mode(self, tmp_path, capsys, mode):
+        data = make_dataset_file(tmp_path, snr=10.0)
+        runs = {}
+        for run_mode in ("unconstrained", mode):
+            out = tmp_path / run_mode
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the 15 saturated states are expected
+                assert main(["identify", "--dataset", str(data), "--ts", "1", "--ell", "30",
+                             "--mode", run_mode, "--output-dir", str(out)]) == EXIT_OK
+            runs[run_mode] = capsys.readouterr().err
+            assert "mode: unconstrained" in (out / "report.txt").read_text().splitlines()
+        notice = "notice: no priors declared; mode coerced to unconstrained\n"
+        assert runs[mode] == ("" if mode == "unconstrained" else notice)
+        for name in ("model.txt", "markov.csv", "report.txt"):
+            assert (tmp_path / mode / name).read_bytes() == (
+                tmp_path / "unconstrained" / name
+            ).read_bytes()
 
     def test_config_values_read_by_field_type(self, tmp_path):
         # an integral float is an int, and a number may be written as a string
@@ -849,6 +893,26 @@ class TestMcCompare:
     def test_requires_priors(self):
         config = self.base_config()
         with pytest.raises(ValueError, match="prior"):
+            mc_compare(config)
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [("ell", "the Markov horizon ell is required"),
+         ("model_file", "the ground-truth Markov sequence is identically zero")],
+        ids=["no-horizon", "zero-generator"],
+    )
+    def test_settings_refused(self, tmp_path, setting, message):
+        from priorsid import FirstOrderDecay
+        from priorsid.fileio import write_model_file
+
+        config = self.base_config()
+        config.priors = [FirstOrderDecay(i=1, j=1, tau=10.0)]
+        if setting == "ell":
+            config.ell = None
+        else:  # B = 0: the input never reaches the output
+            config.generator, config.model_file = None, str(tmp_path / "m.txt")
+            write_model_file(config.model_file, StateSpaceModel(0.5, 0.0, 1.0, 0.0, 1.0))
+        with pytest.raises(ValueError, match=message):
             mc_compare(config)
 
     def test_requires_two_runs(self):
@@ -1154,7 +1218,8 @@ class TestSettingsOutOfRange:
 
     @pytest.mark.parametrize(
         "flag, message",
-        [("--q=1", "q must be at least 2"), ("--order-tol=2", "tol must be in [0, 1)")],
+        [("--q=1", "q must be at least 2"), ("--order-tol=2", "tol must be in [0, 1)"),
+         ("--p=0", "q and p must be >= 1, got (q=10, p=0)")],
     )
     def test_realization_setting_refused_before_the_regressor(
         self, tmp_path, capsys, monkeypatch, flag, message
@@ -1200,7 +1265,7 @@ class TestSettingsOutOfRange:
     @pytest.mark.parametrize(
         "flags, message",
         [(["--seed=-1"], "seed must be >= 0"), (["--snr-db=nan"], "snr_db"),
-         (["--snr-db=-inf"], "snr_db")],
+         (["--snr-db=-inf"], "snr_db"), (["--n=0"], "n_samples must be >= 1, got 0")],
     )
     def test_mc_compare_setting_out_of_range_exits_2(self, tmp_path, capsys, flags, message):
         priors = write_priors_file(
@@ -1332,7 +1397,7 @@ class TestCommandTable:
     def test_help_choices_are_the_values_accepted(self, tmp_path, capsys, command):
         from priorsid.cli import INPUT_KINDS
         from priorsid.fileio import _PROTO_TYPES
-        from priorsid.realize import MODES
+        from priorsid.estimate import MODES
 
         with pytest.raises(SystemExit):
             main([command, "--help"])

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from priorsid import (
     build_fir_regression,
     compile_priors,
     default_weight,
+    estimate_markov,
     ls_equality_exact,
     ls_equality_weighted,
     ls_unconstrained,
@@ -178,6 +180,11 @@ class TestBuildFirRegression:
         with pytest.raises(ValueError, match="N=4 <= ell=4"):
             build_fir_regression(data, 4)
 
+    def test_negative_horizon(self):
+        data = IdentDataset(U=np.zeros((4, 1)), Y=np.zeros((4, 1)), Ts=1.0)
+        with pytest.raises(ValueError, match="ell must be nonnegative, got -1"):
+            build_fir_regression(data, -1)
+
     def test_mimo_row_content(self):
         # Phi row blocks must reproduce the convolution for arbitrary M blocks
         rng = np.random.default_rng(71)
@@ -299,6 +306,47 @@ class TestUnconstrained:
         assert result.diagnostics["rank"] < reg.indexing.size
 
 
+class TestEstimateMarkov:
+    SOLVERS = {"unconstrained": "ls_unconstrained", "exact": "ls_equality_exact",
+               "weighted": "ls_equality_weighted"}
+
+    @pytest.mark.parametrize("mode", list(SOLVERS))
+    def test_mode_runs_its_solver_by_module_name(self, monkeypatch, mode):
+        import priorsid.estimate
+
+        idx = MarkovIndexing(n_y=2, n_u=1, ell=4)
+        cs = compile_priors([FirstOrderDecay(i=1, j=1, tau=2.0)], idx, 1.0)
+        reg = random_regression(np.random.default_rng(41), idx, 30)
+        spies = {}
+        for name in self.SOLVERS.values():  # rebound as a tracer rebinds them
+            spies[name] = mock.Mock(wraps=getattr(priorsid.estimate, name))
+            monkeypatch.setattr(priorsid.estimate, name, spies[name])
+        result = estimate_markov(reg, cs, mode, weight=1e3)
+        assert {name: spy.call_count for name, spy in spies.items()} == {
+            name: int(name == self.SOLVERS[mode]) for name in spies
+        }
+        expected = {"unconstrained": lambda: ls_unconstrained(reg),
+                    "exact": lambda: ls_equality_exact(reg, cs),
+                    "weighted": lambda: ls_equality_weighted(reg, cs, 1e3)}[mode]()
+        np.testing.assert_array_equal(result.markov.blocks, expected.markov.blocks)
+
+    def test_set_without_rows_is_unconstrained_in_every_mode(self):
+        idx = MarkovIndexing(n_y=1, n_u=2, ell=3)
+        reg = random_regression(np.random.default_rng(43), idx, 20)
+        cs = compile_priors([], idx, 1.0)
+        reference = ls_unconstrained(reg)
+        for mode in self.SOLVERS:
+            result = estimate_markov(reg, cs, mode, weight=-1.0)  # the weight is not read
+            assert result.method == "unconstrained"
+            np.testing.assert_array_equal(result.markov.blocks, reference.markov.blocks)
+
+    def test_unknown_mode(self):
+        idx = MarkovIndexing(n_y=1, n_u=1, ell=2)
+        reg = random_regression(np.random.default_rng(47), idx, 10)
+        with pytest.raises(ValueError, match=r"mode must be one of \('unconstrained', "):
+            estimate_markov(reg, compile_priors([], idx, 1.0), "bogus")
+
+
 class TestEqualityExact:
     def test_hand_projection(self):
         result = ls_equality_exact(toy_regression(), toy_constraint())
@@ -351,7 +399,7 @@ class TestEqualityExact:
             )
             reg = random_regression(rng, idx, (idx.ell + 1) * idx.n_u + 5)
             result = ls_equality_exact(reg, cs)
-        assert result.diagnostics["null_dim"] == idx.size - cs.consistency.rank
+        assert result.diagnostics["columns"] == idx.size - cs.consistency.rank
         assert result.constraint_residual <= 1e-10 * max(1.0, np.linalg.norm(cs.b_eq))
 
     @settings(deadline=None)
@@ -376,7 +424,7 @@ class TestEqualityExact:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = ls_equality_exact(reg, cs)
-        assert result.diagnostics["null_dim"] == idx.size - cs.consistency.rank
+        assert result.diagnostics["columns"] == idx.size - cs.consistency.rank
         m = idx.vec(result.markov)
         for block in blocks:
             A_b, b_b = cs.A_eq[block], cs.b_eq[block]
@@ -393,7 +441,7 @@ class TestEqualityExact:
         rng = np.random.default_rng(0)
         reg = random_regression(rng, idx, 300)  # Phi has 600 rows
         result = ls_equality_exact(reg, cs)
-        assert result.diagnostics["null_dim"] == idx.size - cs.consistency.rank
+        assert result.diagnostics["columns"] == idx.size - cs.consistency.rank
         m = idx.vec(result.markov)
         is_ratio = np.array([tag == repr(ratio) for tag in cs.provenance])
         assert np.linalg.norm(cs.A_eq[~is_ratio] @ m - cs.b_eq[~is_ratio]) <= 1e-12
@@ -443,7 +491,7 @@ class TestEqualityExact:
         )
         with pytest.warns(EstimationWarning, match="data were not used"):
             result = ls_equality_exact(build_fir_regression(data, 2), cs)
-        assert result.diagnostics["null_dim"] == 0
+        assert result.diagnostics["columns"] == 0
         np.testing.assert_allclose(idx.vec(result.markov), truth, atol=1e-12)
 
     def test_matches_kkt_on_mimo_shapes(self):
@@ -859,7 +907,7 @@ class TestDenseOracles:
         m_ref = kkt_solve(Phi, y, cs.A_eq[keep], cs.b_eq[keep])
         assert np.linalg.norm(idx.vec(result.markov) - m_ref) <= 1e-12 * np.linalg.norm(m_ref)
         _, V2, _, _ = block_bases(cs)
-        assert result.diagnostics["null_dim"] == V2.shape[1] == idx.size - rank
+        assert result.diagnostics["columns"] == V2.shape[1] == idx.size - rank
         if V2.shape[1]:
             rank_z, cond = lstsq_rank_and_cond(Phi @ V2)
             self.assert_diagnostics(result.diagnostics, rank_z, V2.shape[1], cond)
@@ -1082,3 +1130,15 @@ class TestIdentDatasetValidation:
         bad[1, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             IdentDataset(U=bad, Y=np.zeros((3, 1)), Ts=1.0)
+
+    @pytest.mark.parametrize(
+        "U, Y, message",
+        [
+            (np.zeros((3, 1, 1)), np.zeros((3, 1)), "U and Y must be 2-D sample matrices"),
+            (np.zeros((3, 1)), np.array([[0.0], [np.inf], [0.0]]), "Y contains non-finite"),
+        ],
+        ids=["3-d-input", "non-finite-output"],
+    )
+    def test_refused(self, U, Y, message):
+        with pytest.raises(ValueError, match=message):
+            IdentDataset(U=U, Y=Y, Ts=1.0)

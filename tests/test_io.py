@@ -108,6 +108,8 @@ class TestLoadDataset:
             ([], "empty file"),
             (["t,u1,y1", "0,1,2", "1,x,4"], "line 3: cannot parse 'x' as a number"),
             (["t,u1,y1"], "no data rows"),
+            (["t,y1,u1", "0,1,2"], "line 1: columns must be ordered u1..u1,y1..y1"),
+            (["t,y1", "0,1"], "line 1: missing column 'u1'"),
         ],
     )
     def test_refused(self, tmp_path, lines, message):
@@ -277,12 +279,20 @@ class TestPriorParsing:
             ('{"priors": {"type": "zero_channel", "i": 1, "j": 1}}',
              "key 'priors': expected a list of prior entries, got dict"),
             ('"zero_channel"', "expected a list of prior entries, got str"),
+            ('[{"type": "zero_channel", "i": 1,', "Expecting property name"),
+            ('[{"type": "zero_channel", "i": 1, "j": 1}, {"type": "dc_gain", "i": 1, "j": 1}]',
+             "entry 1: prior 'dc_gain' is missing key 'value'"),
+            ('{"priors": [{"type": "owl"}]}', "key 'priors': entry 0: unknown prior type 'owl'"),
+            ("[3]", "entry 0: prior entry must be a dict with a 'type' key, got 3"),
+            (b"\xff[", "can't decode byte 0xff"),
         ],
-        ids=["misspelled-key", "proto-key", "extra-key", "int", "one-entry", "string"],
+        ids=["misspelled-key", "proto-key", "extra-key", "int", "one-entry", "string",
+             "truncated", "entry-error", "entry-error-in-object", "entry-not-a-dict",
+             "not-utf-8"],
     )
     def test_priors_file_refused(self, tmp_path, text, message):
         path = tmp_path / "p.json"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(ValueError, match=message) as info:
             priors_from_file(path)
         assert str(info.value).startswith(f"{path}: ")

@@ -300,6 +300,20 @@ class TestCompile:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             make(bad)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: DcGain(i=0, j=1, value=1.0), r"1-based, got \(i=0, j=1\)"),
+            (lambda: GainRatio(i=1, j=1, p=1, q=0, ratio=2.0), r"1-based, got \(i=1, j=0\)"),
+            (lambda: DcGainMatrix(matrix=[[math.nan]]), "matrix must be a finite 2-D array"),
+            (lambda: DcGainMatrix(matrix=np.ones((1, 1, 1))), "matrix must be a finite 2-D"),
+        ],
+        ids=["zero-output-index", "zero-input-index", "nan-matrix", "3-d-matrix"],
+    )
+    def test_malformed_declaration_refused(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_all_zero_row_names_its_prior(self):
         prior = GainRatio(i=1, j=1, p=1, q=1, ratio=1.0)
         with pytest.raises(ValueError, match=re.escape(f"{prior!r} compiles to an all-zero")):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from priorsid import (
+    EstimationWarning,
     FirstOrderDecay,
     IdentDataset,
     MarkovIndexing,
@@ -196,13 +197,16 @@ class TestIdentifyPipeline:
         U = rng.standard_normal((120, 1))
         Y = simulate(model, U) + 0.05 * rng.standard_normal((120, 1))
         data = IdentDataset(U=U, Y=Y, Ts=1.0)
-        with_empty = identify_pipeline(data, [], ell=20, mode="exact", order=2)
         unconstrained = identify_pipeline(data, [], ell=20, mode="unconstrained", order=2)
-        np.testing.assert_allclose(
-            with_empty.estimate.markov.blocks,
-            unconstrained.estimate.markov.blocks,
-            atol=1e-12,
-        )
+        assert unconstrained.estimate.method == "unconstrained"
+        for mode in ("exact", "weighted"):
+            with_empty = identify_pipeline(data, [], ell=20, mode=mode, order=2)
+            assert with_empty.estimate.method == "unconstrained"
+            np.testing.assert_array_equal(
+                with_empty.estimate.markov.blocks, unconstrained.estimate.markov.blocks
+            )
+            assert with_empty.estimate.diagnostics == unconstrained.estimate.diagnostics
+            assert with_empty.realized_constraint_residual is None
 
     def test_zero_channel_noise_free_propagates(self):
         rng = np.random.default_rng(131)
@@ -301,12 +305,26 @@ class TestOrderDetection:
     def test_random_sequence_saturates_and_warns(self):
         blocks = np.random.default_rng(149).standard_normal((13, 2, 3))
         seq = MarkovSequence(blocks=blocks, Ts=1.0)
-        with pytest.warns(UserWarning, match="kept all 12 states of the 6x6 block Hankel"):
+        with pytest.warns(UserWarning, match="kept all 12 states of the 6x6 block Hankel") as rec:
             result = kung_realize(seq, 6, 6)
+        # an EstimationWarning, so warning counters by category see it
+        assert [w.category for w in rec] == [EstimationWarning]
         assert result.order == 12 and result.order_saturated
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a fixed full order is a choice, not a finding
             assert not kung_realize(seq, 6, 6, order=12).order_saturated
+
+    def test_realized_sequence_covers_the_horizon(self):
+        model = prototype_statespace(SecondOrderOsc(K=1.5, omega0=0.5, xi=0.3), 1.0)
+        seq = markov_sequence(model, 12)
+        result = kung_realize(seq, 4, 3)
+        np.testing.assert_array_equal(
+            result.realized.blocks, markov_sequence(result.model, 12).blocks
+        )
+        # the reconstruction error covers the lags the Hankel holds, 1 .. q + p - 1
+        assert result.reconstruction_error == float(
+            np.linalg.norm(result.realized.blocks[1:7] - seq.blocks[1:7])
+        )
 
     def test_fixed_order_respected(self):
         seq = markov_sequence(
