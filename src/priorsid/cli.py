@@ -26,13 +26,7 @@ from typing import Any
 import numpy as np
 
 from . import fileio
-from .estimate import (
-    MODES,
-    IdentDataset,
-    build_fir_regression,
-    estimate_markov,
-    ls_unconstrained,
-)
+from .estimate import MODES, IdentDataset, build_fir_regression, estimate_markov
 from .priors import InfeasibleConstraintsError, MarkovIndexing, PriorSpec, compile_priors
 from .realize import DEFAULT_ORDER_TOL, identify_pipeline
 from .statespace import StateSpaceModel, dc_gain, markov_sequence, simulate
@@ -298,73 +292,47 @@ def mc_compare(config: RunConfig) -> tuple[list[dict[str, float]], dict[str, Any
         dc_true = None  # marginally stable generator: no DC-gain metric
 
     cs = compile_priors(config.priors, indexing, model.Ts)
+    arms = {"unconstrained": "unconstrained", "constrained": config.mode}
+    # the column names are made once, so that every record shares their strings
+    columns = ["run"] + [f"markov_err_{arm}" for arm in arms]
+    if dc_true is not None:
+        columns += [f"dc_err_{arm}" for arm in arms]
     runs: list[dict[str, float]] = []
     for run_index in range(config.mc_runs):
         reg = build_fir_regression(_draw_dataset(config, model, run_index), config.ell)
-        est_u = ls_unconstrained(reg)
-        est_c = estimate_markov(reg, cs, config.mode, config.weight)
-        record: dict[str, float] = {
-            "run": float(run_index),
-            "markov_err_unconstrained": float(
-                np.linalg.norm(indexing.vec(est_u.markov) - m_true) / scale
-            ),
-            "markov_err_constrained": float(
-                np.linalg.norm(indexing.vec(est_c.markov) - m_true) / scale
-            ),
-        }
+        markov = [estimate_markov(reg, cs, mode, config.weight).markov for mode in arms.values()]
+        errors = [float(np.linalg.norm(indexing.vec(m) - m_true) / scale) for m in markov]
         if dc_true is not None:
-            record["dc_err_unconstrained"] = float(
-                np.linalg.norm(est_u.markov.blocks.sum(axis=0) - dc_true)
-            )
-            record["dc_err_constrained"] = float(
-                np.linalg.norm(est_c.markov.blocks.sum(axis=0) - dc_true)
-            )
-        runs.append(record)
+            errors += [float(np.linalg.norm(m.blocks.sum(axis=0) - dc_true)) for m in markov]
+        runs.append(dict(zip(columns, [float(run_index), *errors])))
 
-    summary = _summarize_runs(runs, dc_available=dc_true is not None)
-    return runs, summary
+    return runs, _summarize_runs(runs)
 
 
-def _summarize_runs(runs: list[dict[str, float]], dc_available: bool) -> dict[str, Any]:
-    def stats(key: str) -> dict[str, float]:
-        values = np.array([r[key] for r in runs])
-        q25, q50, q75 = np.percentile(values, [25.0, 50.0, 75.0])
-        return {"median": float(q50), "iqr": float(q75 - q25)}
-
+def _summarize_runs(runs: list[dict[str, float]]) -> dict[str, Any]:
+    """Median and IQR of each error in the records, then the arms' wins and ties."""
+    summary: dict[str, Any] = {"runs": len(runs)}
+    for key in runs[0]:
+        if key != "run":
+            q25, q50, q75 = np.percentile([r[key] for r in runs], [25.0, 50.0, 75.0])
+            summary[key] = {"median": float(q50), "iqr": float(q75 - q25)}
     diff = np.array(
         [r["markov_err_unconstrained"] - r["markov_err_constrained"] for r in runs]
     )
-    summary: dict[str, Any] = {
-        "runs": len(runs),
-        "markov_err_unconstrained": stats("markov_err_unconstrained"),
-        "markov_err_constrained": stats("markov_err_constrained"),
-        "wins_constrained": int(np.sum(diff > MC_TIE_TOL)),
-        "wins_unconstrained": int(np.sum(diff < -MC_TIE_TOL)),
-        "ties": int(np.sum(np.abs(diff) <= MC_TIE_TOL)),
-    }
-    decisive = summary["wins_constrained"] + summary["wins_unconstrained"]
-    summary["win_rate_constrained"] = (
-        summary["wins_constrained"] / decisive if decisive else float("nan")
-    )
-    if dc_available:
-        summary["dc_err_unconstrained"] = stats("dc_err_unconstrained")
-        summary["dc_err_constrained"] = stats("dc_err_constrained")
+    wins = int(np.sum(diff > MC_TIE_TOL))
+    losses = int(np.sum(diff < -MC_TIE_TOL))
+    summary["wins_constrained"] = wins
+    summary["wins_unconstrained"] = losses
+    summary["ties"] = int(np.sum(np.abs(diff) <= MC_TIE_TOL))
+    summary["win_rate_constrained"] = wins / (wins + losses) if wins + losses else float("nan")
     return summary
 
 
 def _format_summary(summary: dict[str, Any]) -> str:
     lines = [f"monte carlo comparison over {summary['runs']} runs"]
-    for key in (
-        "markov_err_unconstrained",
-        "markov_err_constrained",
-        "dc_err_unconstrained",
-        "dc_err_constrained",
-    ):
-        if key in summary:
-            entry = summary[key]
-            lines.append(
-                f"{key}: median {_fmt6(entry['median'])}, iqr {_fmt6(entry['iqr'])}"
-            )
+    for key, entry in summary.items():
+        if isinstance(entry, dict):
+            lines.append(f"{key}: median {_fmt6(entry['median'])}, iqr {_fmt6(entry['iqr'])}")
     lines.append(
         f"wins constrained/unconstrained/ties: {summary['wins_constrained']}"
         f"/{summary['wins_unconstrained']}/{summary['ties']}"

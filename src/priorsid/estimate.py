@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -39,6 +39,7 @@ from .priors import (
     EqualityConstraintSet,
     InfeasibleConstraintsError,
     MarkovIndexing,
+    constraint_residual,
 )
 from .statespace import MarkovSequence, _freeze, _require_positive
 
@@ -172,12 +173,10 @@ def build_fir_regression(data: IdentDataset, ell: int) -> FirRegression:
     a view of the dataset's outputs.  The dense stacked regressor
     Phi = Psi (x) I_{n_y} is not formed.
     """
-    if ell < 0:
-        raise ValueError(f"ell must be nonnegative, got {ell}")
     N, n_u, n_y = data.n_samples, data.n_u, data.n_y
+    indexing = MarkovIndexing(n_y=n_y, n_u=n_u, ell=ell)
     if N <= ell:
         raise ValueError(f"need more samples than lags: N={N} <= ell={ell}")
-    indexing = MarkovIndexing(n_y=n_y, n_u=n_u, ell=ell)
     # Psi[t - ell, k * n_u + j] = u_j(t - k)
     windows = sliding_window_view(data.U, ell + 1, axis=0)[:, :, ::-1].transpose(0, 2, 1)
     Psi = np.ascontiguousarray(windows).reshape(N - ell, (ell + 1) * n_u)
@@ -435,17 +434,24 @@ def ls_equality_weighted(
     return _result(reg, m_hat, f"weighted(w={weight:g})", diagnostics, cs)
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
 def estimate_markov(
     reg: FirRegression, cs: EqualityConstraintSet, mode: str, weight: float | None = None
 ) -> EstimateResult:
     """Run the solver of ``mode``, one of ``MODES``, with the constraints ``cs``.
 
     A set with no rows is solved by :func:`ls_unconstrained` in every mode.
+    An unconstrained estimate reports its distance from the rows of ``cs``
+    as its ``constraint_residual``.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_mode(mode)
     if mode == "unconstrained" or not cs.n_rows:
-        return ls_unconstrained(reg)
+        est = ls_unconstrained(reg)
+        return replace(est, constraint_residual=constraint_residual(cs, est.markov))
     if mode == "exact":
         return ls_equality_exact(reg, cs)
     return ls_equality_weighted(reg, cs, weight)

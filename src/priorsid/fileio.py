@@ -65,7 +65,7 @@ TIME_GRID_RTOL = 1e-6
 
 
 class DatasetFormatError(ValueError):
-    """A dataset file violates the CSV schema."""
+    """An input file is not UTF-8 text, or violates the dataset or model-file schema."""
 
 
 def _fmt(x: float) -> str:
@@ -76,6 +76,15 @@ def _write_lines(path, lines: list[str]) -> None:
     """Write ``lines`` with LF endings and a final newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _read_text(path) -> str:
+    """The text of the UTF-8 file ``path``; a decoding error is refused naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DatasetFormatError(f"{path}: {exc}") from exc
 
 
 def load_dataset(path, Ts: float) -> IdentDataset:
@@ -89,8 +98,7 @@ def load_dataset(path, Ts: float) -> IdentDataset:
         DatasetFormatError: on any schema violation, with the offending
             line number in the message.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     while lines and lines[-1].strip() == "":
         lines.pop()
     if not lines:
@@ -203,8 +211,7 @@ def write_model_file(path, model: StateSpaceModel) -> None:
 
 def read_model_file(path) -> StateSpaceModel:
     """Parse the plain-text model schema written by :func:`write_model_file`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip() != ""]
+    lines = [line.strip() for line in _read_text(path).splitlines() if line.strip() != ""]
     if not lines:
         raise DatasetFormatError(f"{path}: empty model file")
     head = lines[0].split()
@@ -372,11 +379,11 @@ def _prior_list(value, where: str) -> list[PriorSpec]:
 
 def _load_json(path):
     """The JSON value in the file ``path``; a ValueError for bad UTF-8 or JSON names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
-            raise ValueError(f"{path}: {exc}") from exc
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def priors_from_file(path) -> list[PriorSpec]:

@@ -27,6 +27,7 @@ from .estimate import (
     EstimateResult,
     EstimationWarning,
     IdentDataset,
+    _check_mode,
     build_fir_regression,
     estimate_markov,
 )
@@ -93,14 +94,6 @@ def _check_hankel_shape(q: int, p: int, ell: int) -> None:
         )
 
 
-def _check_realization_settings(q: int, tol: float) -> None:
-    """Reject a Hankel with one block row, or an order cutoff outside [0, 1)."""
-    if q < 2:
-        raise ValueError(f"q must be at least 2 for the shift equation, got {q}")
-    if not 0.0 <= tol < 1.0:
-        raise ValueError(f"tol must be in [0, 1), got {tol}")
-
-
 def default_hankel_shape(ell: int) -> tuple[int, int]:
     """Square-ish Hankel blocks q = max(2, h), p = max(1, h), h = floor((ell + 1) / 2).
 
@@ -108,6 +101,23 @@ def default_hankel_shape(ell: int) -> tuple[int, int]:
     """
     half = (ell + 1) // 2
     return max(2, half), max(1, half)
+
+
+def _hankel_shape(q: int | None, p: int | None, ell: int, tol: float) -> tuple[int, int]:
+    """The Hankel block shape (q, p), a None read from :func:`default_hankel_shape`.
+
+    Refuses a layout that M_0 .. M_ell cannot fill, a Hankel with one block
+    row, and an order cutoff ``tol`` outside [0, 1).
+    """
+    q_default, p_default = default_hankel_shape(ell)
+    q = q_default if q is None else q
+    p = p_default if p is None else p
+    _check_hankel_shape(q, p, ell)
+    if q < 2:
+        raise ValueError(f"q must be at least 2 for the shift equation, got {q}")
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"tol must be in [0, 1), got {tol}")
+    return q, p
 
 
 def block_hankel(markov: MarkovSequence, q: int, p: int) -> np.ndarray:
@@ -151,7 +161,7 @@ def kung_realize(
         min(q n_y, p n_u) states, the result is flagged ``order_saturated``
         and an EstimationWarning is issued.
     """
-    _check_realization_settings(q, tol)
+    q, p = _hankel_shape(q, p, markov.ell, tol)
     H = block_hankel(markov, q, p)
     n_y, n_u = markov.n_y, markov.n_u
     U, s, Vt = np.linalg.svd(H, full_matrices=False)
@@ -219,11 +229,8 @@ def identify_pipeline(
         active, the constraint residual re-evaluated on the realized
         model's Markov sequence.
     """
-    q_default, p_default = default_hankel_shape(ell)
-    q = q_default if q is None else q
-    p = p_default if p is None else p
-    _check_hankel_shape(q, p, ell)
-    _check_realization_settings(q, tol)  # before any regressor is built
+    q, p = _hankel_shape(q, p, ell, tol)  # the settings are checked before any work
+    _check_mode(mode)
 
     cs = compile_priors(priors, MarkovIndexing(n_y=data.n_y, n_u=data.n_u, ell=ell), data.Ts)
     est = estimate_markov(build_fir_regression(data, ell), cs, mode, weight)

@@ -40,6 +40,7 @@ from priorsid.cli import (
     EXIT_INPUT,
     EXIT_NUMERICAL,
     EXIT_OK,
+    MC_MODES,
     RunConfig,
     apply_delays,
     generate_input,
@@ -78,6 +79,22 @@ class TestExitCodes:
         assert _exit_code(np.linalg.LinAlgError("x")) == EXIT_NUMERICAL
         assert _exit_code(ValueError("x")) == EXIT_INPUT
         assert _exit_code(FileNotFoundError("x")) == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["identify", "--ts", "1", "--ell", "3", "--output-dir", "{tmp}/out", "--dataset"],
+         ["simulate", "--n", "10", "--output", "{tmp}/x.csv", "--model-file"]],
+        ids=["dataset", "model-file"],
+    )
+    def test_file_not_utf8_exits_2_naming_it(self, tmp_path, capsys, flags):
+        # the dataset and model-file readers let the decoding error through unnamed
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"t,u1,y1\n0,1,\xff\n")
+        code = main([flag.format(tmp=tmp_path) for flag in flags] + [str(bad)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+        assert not (tmp_path / "out").exists() and not (tmp_path / "x.csv").exists()
 
 
 class TestGenerateInput:
@@ -945,10 +962,59 @@ class TestMcCompare:
         code = main(["mc-compare", "--config", str(config_path), "--priors", str(priors)])
         assert code == EXIT_OK
         runs_lines = (tmp_path / "mc" / "runs.csv").read_text().splitlines()
-        assert runs_lines[0].startswith("run,markov_err_unconstrained")
+        assert runs_lines[0] == (
+            "run,markov_err_unconstrained,markov_err_constrained,"
+            "dc_err_unconstrained,dc_err_constrained"
+        )
         assert len(runs_lines) == 7
         summary = (tmp_path / "mc" / "summary.txt").read_text()
         assert "monte carlo comparison over 6 runs" in summary
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        generator=st.sampled_from([
+            ({"proto": "first_order", "gain": 2.0, "tau": 5.0},
+             {"type": "first_order_decay", "i": 1, "j": 1, "tau": 5.0}),
+            ({"proto": "integrator", "gain": 1.0}, {"type": "integrator", "i": 1, "j": 1}),
+        ]),
+        mc_runs=st.integers(2, 6), n_samples=st.integers(10, 40),
+        seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(MC_MODES),
+    )
+    def test_summary_is_taken_over_the_records(self, generator, mc_runs, n_samples, seed, mode):
+        # the integrator has no DC gain, so its runs.csv has no dc_err columns
+        proto, prior = generator
+        summaries = []
+
+        def capture(config):
+            summaries.append(mc_compare(config))
+            return summaries[-1]
+
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "mc.json"
+            config.write_text(json.dumps({
+                "generator": proto, "ts": 1.0, "ell": 8, "n_samples": n_samples,
+                "snr_db": 10.0, "seed": seed, "mc_runs": mc_runs, "mode": mode,
+                "priors": [prior], "output_dir": tmp,
+            }))
+            with (
+                mock.patch("priorsid.cli.mc_compare", capture),
+                warnings.catch_warnings(),
+                contextlib.redirect_stdout(io.StringIO()),
+            ):
+                warnings.simplefilter("ignore")
+                assert main(["mc-compare", "--config", str(config)]) == EXIT_OK
+            header = (Path(tmp) / "runs.csv").read_text().splitlines()[0].split(",")
+            columns = np.loadtxt(Path(tmp) / "runs.csv", delimiter=",", skiprows=1, ndmin=2)
+            summary_lines = (Path(tmp) / "summary.txt").read_text().splitlines()
+        [(runs, summary)] = summaries
+        assert ("dc_err_constrained" in header) == (proto["proto"] == "first_order")
+        assert [key for key, entry in summary.items() if isinstance(entry, dict)] == header[1:]
+        for key, column in zip(header[1:], columns.T[1:]):
+            q25, q50, q75 = np.percentile(column, [25.0, 50.0, 75.0])
+            assert summary[key] == {"median": q50, "iqr": q75 - q25}
+        outcomes = summary["wins_constrained"], summary["wins_unconstrained"], summary["ties"]
+        assert sum(outcomes) == mc_runs == len(columns)
+        assert [line.split(":")[0] for line in summary_lines[1:-2]] == header[1:]
 
     def test_schedule_independent_seeding(self):
         from priorsid import FirstOrderDecay

@@ -24,6 +24,7 @@ from priorsid import (
     ZeroChannel,
     build_fir_regression,
     compile_priors,
+    constraint_residual,
     default_weight,
     estimate_markov,
     ls_equality_exact,
@@ -339,6 +340,24 @@ class TestEstimateMarkov:
             result = estimate_markov(reg, cs, mode, weight=-1.0)  # the weight is not read
             assert result.method == "unconstrained"
             np.testing.assert_array_equal(result.markov.blocks, reference.markov.blocks)
+
+    @settings(deadline=None)
+    @given(case=prior_sets(coupled=True, every_kind=True), seed=st.integers(0, 2**32 - 1))
+    def test_constraint_residual_is_the_estimates_in_every_mode(self, case, seed):
+        # the unconstrained estimate reported 0, however far it lay from the rows
+        priors, idx = case
+        try:
+            cs = compile_quietly(priors, idx)
+        except ValueError:  # a GainRatio of a channel to itself cancelled to zero
+            assume(False)
+        reg = random_regression(np.random.default_rng(seed), idx, (idx.ell + 1) * idx.n_u + 5)
+        for mode in self.SOLVERS:
+            if mode == "exact" and cs.consistency.infeasible:
+                continue  # refused, see TestEqualityExact
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", EstimationWarning)
+                est = estimate_markov(reg, cs, mode)
+            assert est.constraint_residual == constraint_residual(cs, est.markov)
 
     def test_unknown_mode(self):
         idx = MarkovIndexing(n_y=1, n_u=1, ell=2)

@@ -110,11 +110,15 @@ class TestLoadDataset:
             (["t,u1,y1"], "no data rows"),
             (["t,y1,u1", "0,1,2"], "line 1: columns must be ordered u1..u1,y1..y1"),
             (["t,y1", "0,1"], "line 1: missing column 'u1'"),
+            (b"t,u1,y1\n0,1,\xff\n", "d.csv: 'utf-8' codec can't decode byte 0xff"),
         ],
     )
     def test_refused(self, tmp_path, lines, message):
         path = tmp_path / "d.csv"
-        write_lines(path, lines)
+        if isinstance(lines, bytes):
+            path.write_bytes(lines)
+        else:
+            write_lines(path, lines)
         with pytest.raises(DatasetFormatError, match=message):
             load_dataset(path, Ts=1.0)
 
@@ -169,11 +173,12 @@ class TestModelFile:
             ("1.5 1 1 1\nA:\n0.5\n", "cannot parse dims line"),
             ("1 1 1 1\nA:\n0.5\nC:\n1\n", "expected block label 'B:'"),
             ("2 1 1 1\nA:\n0.5 0\n0\n", "block A row 1: expected 2 entries, found 1"),
+            (b"1 1 1 1\nA:\n0.5\xff\n", "m.txt: 'utf-8' codec can't decode byte 0xff"),
         ],
     )
     def test_refused(self, tmp_path, text, message):
         path = tmp_path / "m.txt"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(DatasetFormatError, match=message):
             read_model_file(path)
 

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -262,6 +263,17 @@ class TestIdentifyPipeline:
     def test_bad_mode(self):
         data = IdentDataset(U=np.ones((10, 1)), Y=np.ones((10, 1)), Ts=1.0)
         with pytest.raises(ValueError, match="mode"):
+            identify_pipeline(data, [], ell=4, mode="bogus")
+
+    def test_bad_mode_refused_before_any_work(self, monkeypatch):
+        # the mode was read only after the priors were compiled and the
+        # regressor built, which refused these 4 samples first
+        import priorsid.realize
+
+        compile_spy = mock.Mock(side_effect=AssertionError("compile_priors ran"))
+        monkeypatch.setattr(priorsid.realize, "compile_priors", compile_spy)
+        data = IdentDataset(U=np.ones((4, 1)), Y=np.ones((4, 1)), Ts=1.0)
+        with pytest.raises(ValueError, match=r"^mode must be one of \('unconstrained', "):
             identify_pipeline(data, [], ell=4, mode="bogus")
 
     def test_result_carries_shape_and_constraints(self):
